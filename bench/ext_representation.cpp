@@ -1,25 +1,24 @@
 // Extension bench: the graph-representation axis (plain vs degree-relabelled
-// vs padded/binned CSR vs the adaptive controller) for BFS and SSSP. The
+// CSR vs the adaptive query-start pick) for BFS and SSSP. The
 // paper's dimensions pick a kernel for a fixed layout; this measures what
 // re-laying-out the CSR buys on divergence-bound (heavy-tailed) graphs,
 // where a warp that drew one hub row serializes while its siblings idle.
 //
 // Times are measured in the serving regime (cf. Session pinning): the plain
-// CSR and any alternate layout the run may traverse are device-resident
+// CSR and the relabelled layout the run may traverse are device-resident
 // before the traversal starts, so the columns compare traversal cost, not
-// one-time relabel/upload work. A one-shot alternate-layout run would
-// additionally pay the conversion upload; the adaptive controller models
-// exactly that cost when it decides mid-run (rep_switch_fraction).
+// one-time relabel/upload work. A one-shot relabelled run uploads the
+// relabelled CSR in place of the plain one, so it pays no extra transfer.
 //
 // Two synthetic serving workloads (hub-serve-*) join the paper datasets:
 // scattered high-degree hubs in a low-degree mesh, the shape interactive
 // graph services see when a few celebrity nodes dominate the edge mass.
 // They pin the regime where the SM time is divergence-bound rather than
 // bandwidth-bound — on bandwidth-bound graphs every layout hits the same
-// DRAM floor and the controller correctly declines to convert.
+// DRAM floor and the adaptive pick correctly stays plain.
 //
 // Acceptance (tracked in results/BENCH_representation.json via
-// run_benches.sh): an alternate layout beats plain by >=1.2x on at least two
+// run_benches.sh): the relabelled layout beats plain by >=1.2x on at least two
 // heavy-tailed runs, the adaptive pick is never >5% worse than the best
 // fixed layout, and CO-road (regular, representation-indifferent) never
 // regresses more than 5%. Every run is verified against the serial CPU
@@ -45,61 +44,38 @@ namespace {
 
 struct RepRun {
   double us = 0;
-  std::uint32_t switches = 0;  // representation changes along the trajectory
-  gg::Representation final_rep = gg::Representation::plain;
+  gg::Representation rep = gg::Representation::plain;  // the layout it ran in
 };
 
 RepRun run_one(bench::Algo algo, const graph::gen::Dataset& d,
-               const graph::RelabeledGraph& rel,
-               const graph::RelabeledGraph& bin, gg::Representation rep,
+               const graph::RelabeledGraph& rel, gg::Representation rep,
                const std::vector<std::uint32_t>& expected) {
-  rt::AdaptiveOptions opts;
-  opts.representation = rep;
+  rt::Query q;
+  q.options.representation = rep;
+  q.rel = &rel;
   simt::Device dev;
   const bool with_weights = algo == bench::Algo::sssp;
   auto dg = gg::DeviceGraph::upload(dev, d.csr, with_weights);
-  gg::RepSet rs;
-  rs.rel = &rel;
-  rs.bin = &bin;
-  opts.engine.reps = &rs;
   if (rep != gg::Representation::plain) {
-    // Serving regime: the layouts this run may traverse are pinned before
-    // the query, like a Session keeps them across repeated traversals.
-    simt::StreamGuard sguard(dev, opts.engine.stream);
-    if (rep != gg::Representation::binned) {
-      dg.ensure_rep_resident(dev, gg::Representation::relabelled, rel,
-                             with_weights);
-    }
-    if (rep != gg::Representation::relabelled) {
-      dg.ensure_rep_resident(dev, gg::Representation::binned, bin,
-                             with_weights);
-    }
+    // Serving regime: the layout this run may traverse is pinned before the
+    // query, like a Session keeps it across repeated traversals.
+    simt::StreamGuard sguard(dev, q.options.engine.stream);
+    dg.ensure_rep_resident(dev, rel, with_weights);
   }
   gg::TraversalMetrics m;
   if (algo == bench::Algo::bfs) {
-    auto r = rt::adaptive_bfs(dev, dg, d.csr, d.source, opts);
+    auto r = rt::run_bfs(dev, &dg, d.csr, d.source, q);
     AGG_CHECK(r.level == expected);
     m = std::move(r.metrics);
   } else {
-    auto r = rt::adaptive_sssp(dev, dg, d.csr, d.source, opts);
+    auto r = rt::run_sssp(dev, &dg, d.csr, d.source, q);
     AGG_CHECK(r.dist == expected);
     m = std::move(r.metrics);
   }
   dg.release(dev);
   RepRun out;
   out.us = m.total_us;
-  gg::Representation prev = gg::Representation::plain;
-  for (const auto& it : m.iterations) {
-    if (it.variant.representation != prev) ++out.switches;
-    prev = it.variant.representation;
-    out.final_rep = it.variant.representation;
-  }
-  if (!m.iterations.empty() && m.iterations.front().variant.representation !=
-                                   gg::Representation::plain) {
-    // The first iteration already ran on an alternate layout; the loop above
-    // counted that initial state as a switch, but nothing was converted.
-    --out.switches;
-  }
+  if (!m.iterations.empty()) out.rep = m.iterations.front().variant.representation;
   return out;
 }
 
@@ -107,22 +83,8 @@ struct Row {
   std::string dataset;
   const char* algo = "";
   bool heavy_tailed = false;
-  RepRun plain, rel, bin, adap;
+  RepRun plain, rel, adap;
 };
-
-const char* rep_name(gg::Representation r) {
-  switch (r) {
-    case gg::Representation::plain:
-      return "plain";
-    case gg::Representation::relabelled:
-      return "rel";
-    case gg::Representation::binned:
-      return "bin";
-    case gg::Representation::adaptive:
-      return "adaptive";
-  }
-  return "?";
-}
 
 // Scattered hubs in a low-degree mesh: the serving workload where the
 // representation axis pays. Every `hub_every`-th node has `hub_deg`
@@ -154,9 +116,8 @@ graph::gen::Dataset hub_serve(const char* name, std::uint32_t num_nodes,
 
 void run_algo(bench::Algo algo, const std::vector<graph::gen::Dataset>& sets,
               std::vector<Row>& rows) {
-  agg::Table table({"Network", "plain (ms)", "rel (ms)", "bin (ms)",
-                    "adaptive (ms)", "adaptive rep", "switches",
-                    "best-alt/plain"});
+  agg::Table table({"Network", "plain (ms)", "rel (ms)", "adaptive (ms)",
+                    "adaptive rep", "rel/plain"});
   for (const auto& d : sets) {
     const auto base = algo == bench::Algo::bfs ? bench::cpu_baseline_bfs(d)
                                                : bench::cpu_baseline_sssp(d);
@@ -166,29 +127,20 @@ void run_algo(bench::Algo algo, const std::vector<graph::gen::Dataset>& sets,
     Row row;
     row.dataset = d.name;
     row.algo = algo == bench::Algo::bfs ? "bfs" : "sssp";
-    // Heavy-tailed degree distribution: the regime alternate layouts target.
+    // Heavy-tailed degree distribution: the regime relabelling targets.
     row.heavy_tailed = d.stats.outdeg_stddev > d.stats.outdeg_avg;
     const graph::RelabeledGraph rel = graph::relabel_by_degree(d.csr);
-    const graph::RelabeledGraph bin = graph::build_binned(d.csr);
-    row.plain =
-        run_one(algo, d, rel, bin, gg::Representation::plain, expected);
-    row.rel =
-        run_one(algo, d, rel, bin, gg::Representation::relabelled, expected);
-    row.bin =
-        run_one(algo, d, rel, bin, gg::Representation::binned, expected);
-    row.adap =
-        run_one(algo, d, rel, bin, gg::Representation::adaptive, expected);
+    row.plain = run_one(algo, d, rel, gg::Representation::plain, expected);
+    row.rel = run_one(algo, d, rel, gg::Representation::relabelled, expected);
+    row.adap = run_one(algo, d, rel, gg::Representation::adaptive, expected);
 
-    const double best_alt = std::min(row.rel.us, row.bin.us);
-    const double vs_plain = row.plain.us / best_alt;  // >1: a layout wins
+    const double vs_plain = row.plain.us / row.rel.us;  // >1: relabelling wins
     table.add_row({d.name, agg::Table::fmt(row.plain.us / 1000.0, 2),
                    agg::Table::fmt(row.rel.us / 1000.0, 2),
-                   agg::Table::fmt(row.bin.us / 1000.0, 2),
                    agg::Table::fmt(row.adap.us / 1000.0, 2),
-                   rep_name(row.adap.final_rep),
-                   std::to_string(row.adap.switches),
+                   gg::representation_name(row.adap.rep),
                    agg::Table::fmt(vs_plain, 2)},
-                  vs_plain >= 1.0 ? 7 : -1);
+                  vs_plain >= 1.0 ? 5 : -1);
     rows.push_back(std::move(row));
   }
   std::printf("%s\n", table.render().c_str());
@@ -208,12 +160,9 @@ void write_json(const std::string& path, const std::vector<Row>& rows) {
     w.field("heavy_tailed", r.heavy_tailed);
     w.field("plain_us", r.plain.us);
     w.field("relabelled_us", r.rel.us);
-    w.field("binned_us", r.bin.us);
     w.field("adaptive_us", r.adap.us);
-    w.field("adaptive_final_rep", rep_name(r.adap.final_rep));
-    w.field("adaptive_switches", r.adap.switches);
-    w.field("best_alt_speedup_vs_plain",
-            r.plain.us / std::min(r.rel.us, r.bin.us));
+    w.field("adaptive_rep", gg::representation_name(r.adap.rep));
+    w.field("relabelled_speedup_vs_plain", r.plain.us / r.rel.us);
     w.end_object();
   }
   w.end_array();
@@ -230,16 +179,16 @@ void write_json(const std::string& path, const std::vector<Row>& rows) {
 
 int main(int argc, char** argv) {
   agg::Cli cli(argc, argv);
-  if (cli.maybe_help("Plain vs relabelled vs binned vs adaptive CSR layout on "
-                     "every dataset; --json-out=FILE for machine-readable "
+  if (cli.maybe_help("Plain vs relabelled vs adaptive CSR layout on every "
+                     "dataset; --json-out=FILE for machine-readable "
                      "results."))
     return 0;
   const auto opts = bench::parse_common(cli);
   bench::print_banner(
       "Representation adaptivity (extension)",
-      "Degree-relabelled and padded/binned CSR as a 5th adaptive dimension: "
-      "re-lay-out the graph when divergence-bound, decline when the DRAM "
-      "floor would eat the win.",
+      "Degree-relabelled CSR as a 5th adaptive dimension, chosen at query "
+      "start: re-lay-out the graph when divergence-bound, decline when the "
+      "DRAM floor would eat the win.",
       opts);
 
   std::vector<graph::gen::Dataset> sets;
@@ -257,7 +206,7 @@ int main(int argc, char** argv) {
   std::printf(">>> SSSP\n");
   run_algo(bench::Algo::sssp, sets, rows);
 
-  // Acceptance: an alternate layout wins >=1.2x on >=2 heavy-tailed runs
+  // Acceptance: relabelling wins >=1.2x on >=2 heavy-tailed runs
   // (the wins concentrate on SSSP, whose many iterations re-expand the hub
   // rows the layout fixes; one-pass BFS mostly sits on the DRAM floor);
   // adaptive is never >5% off the best fixed layout; CO-road
@@ -266,16 +215,15 @@ int main(int argc, char** argv) {
   int adaptive_losses = 0;
   bool road_ok = true;
   for (const auto& r : rows) {
-    const double best_fixed = std::min({r.plain.us, r.rel.us, r.bin.us});
-    if (r.heavy_tailed && r.plain.us / std::min(r.rel.us, r.bin.us) >= 1.2)
-      ++heavy_wins;
+    const double best_fixed = std::min(r.plain.us, r.rel.us);
+    if (r.heavy_tailed && r.plain.us / r.rel.us >= 1.2) ++heavy_wins;
     if (r.adap.us > 1.05 * best_fixed) ++adaptive_losses;
     if (r.dataset == "CO-road" && r.adap.us > 1.05 * r.plain.us)
       road_ok = false;
   }
   const bool pass = heavy_wins >= 2 && adaptive_losses == 0 && road_ok;
   std::printf(
-      "acceptance: alternate layout wins >=1.2x on %d heavy-tailed "
+      "acceptance: relabelled layout wins >=1.2x on %d heavy-tailed "
       "graph(s) (need >=2); adaptive >5%% off best fixed on %d graph(s) "
       "(need 0); CO-road %s -> %s\n",
       heavy_wins, adaptive_losses, road_ok ? "ok" : "regressed",

@@ -48,8 +48,8 @@ mkdir -p results
         # pull-iteration counts, DO/push speedups) for cross-revision diffs.
         "$b" --json-out=results/BENCH_direction.json
       elif [ "$(basename "$b")" = ext_representation ]; then
-        # Machine-readable layout-axis numbers (plain/relabelled/binned/
-        # adaptive times, switch counts, speedups) for cross-revision diffs.
+        # Machine-readable layout-axis numbers (plain/relabelled/adaptive
+        # times, the adaptive pick, speedups) for cross-revision diffs.
         "$b" --json-out=results/BENCH_representation.json
       else
         "$b"

@@ -31,6 +31,18 @@ ErrorCode fault_code(const simt::DeviceFault& f) {
   return ErrorCode::internal;
 }
 
+rt::Query runtime_query(const Graph& g, const Policy& policy,
+                        bool of_symmetrized) {
+  rt::Query q;
+  if (policy.mode == Policy::Mode::fixed_variant) q.fixed = policy.variant;
+  q.options = policy.options;
+  // Pull iterations gather over the CSC; the Graph's cached host copy saves
+  // the engine a transpose per query.
+  if (policy.wants_pull() && !of_symmetrized) q.options.engine.csc = &g.csc();
+  if (policy.wants_rep()) q.rel = &g.relabelled_view(of_symmetrized);
+  return q;
+}
+
 }  // namespace detail
 
 ParsedPolicy parse_policy(const std::string& name) {
@@ -55,8 +67,8 @@ ParsedPolicy parse_policy(const std::string& name) {
       return out;
     }
     if (v->representation == gg::Representation::adaptive) {
-      // Same story for the representation controller: _AREP has no meaning
-      // on a variant that never re-decides.
+      // _AREP likewise belongs to the adaptive policy; a fixed variant names
+      // its layout outright (_REL, or no suffix for plain).
       out.status = Status::error;
       out.code = ErrorCode::invalid_argument;
       out.error =
@@ -72,7 +84,7 @@ ParsedPolicy parse_policy(const std::string& name) {
   out.code = ErrorCode::invalid_argument;
   out.error = "unknown policy '" + name +
               "': expected adaptive, cpu, or a variant name like U_T_BM "
-              "(optionally suffixed _PULL, then _REL or _BIN)";
+              "(optionally suffixed _PULL, then _REL)";
   return out;
 }
 
@@ -140,38 +152,10 @@ BfsResult bfs(simt::Device& dev, const Graph& g, NodeId source,
       out.cpu_wall_ms = r.wall_ms;
       return out;
     }
-    case Policy::Mode::fixed_variant: {
-      gg::EngineOptions eo = policy.options.engine;
-      if (policy.wants_pull()) eo.csc = &g.csc();
-      gg::RepSet rs;
-      const gg::Representation r =
-          gg::normalize_representation(policy.variant).representation;
-      if (r != gg::Representation::plain) {
-        // A fixed _REL/_BIN variant starts (and stays) in the alternate
-        // layout; the BFS engine owns the id mapping end to end.
-        rs.rel = &g.relabelled_view();
-        rs.bin = &g.binned_view();
-        rs.initial = r;
-        eo.reps = &rs;
-      }
-      gg::GpuBfsResult rr = gg::run_bfs(dev, g.csr(), source, policy.variant, eo);
-      out.level = std::move(rr.level);
-      out.metrics = std::move(rr.metrics);
-      return out;
-    }
+    case Policy::Mode::fixed_variant:
     case Policy::Mode::adaptive: {
-      rt::AdaptiveOptions ao = policy.options;
-      if (policy.wants_pull()) ao.engine.csc = &g.csc();
-      gg::RepSet rs;
-      if (policy.wants_rep()) {
-        rs.rel = &g.relabelled_view();
-        rs.bin = &g.binned_view();
-        if (ao.representation != gg::Representation::adaptive) {
-          rs.initial = ao.representation;
-        }
-        ao.engine.reps = &rs;
-      }
-      gg::GpuBfsResult r = rt::adaptive_bfs(dev, g.csr(), source, ao);
+      gg::GpuBfsResult r = rt::run_bfs(dev, nullptr, g.csr(), source,
+                                       detail::runtime_query(g, policy));
       out.level = std::move(r.level);
       out.metrics = std::move(r.metrics);
       return out;
@@ -195,41 +179,10 @@ SsspResult sssp(simt::Device& dev, const Graph& g, NodeId source,
       out.cpu_wall_ms = r.wall_ms;
       return out;
     }
-    case Policy::Mode::fixed_variant: {
-      gg::EngineOptions eo = policy.options.engine;
-      const gg::Representation r =
-          gg::normalize_representation(policy.variant).representation;
-      if (r == gg::Representation::plain) {
-        if (policy.wants_pull()) eo.csc = &g.csc();
-        gg::GpuSsspResult rr =
-            gg::run_sssp(dev, g.csr(), source, policy.variant, eo);
-        out.dist = std::move(rr.dist);
-        out.metrics = std::move(rr.metrics);
-        return out;
-      }
-      // SSSP has no in-engine rep controller: run the whole traversal on
-      // the alternate layout's CSR and map distances back. The cached CSC
-      // is of the plain layout, so pull iterations rebuild the transpose.
-      const graph::RelabeledGraph& view = r == gg::Representation::relabelled
-                                              ? g.relabelled_view()
-                                              : g.binned_view();
-      gg::GpuSsspResult rr =
-          gg::run_sssp(dev, view.csr, view.new_id[source], policy.variant, eo);
-      rt::rep_payload_to_original(rr.dist, view);
-      out.dist = std::move(rr.dist);
-      out.metrics = std::move(rr.metrics);
-      return out;
-    }
+    case Policy::Mode::fixed_variant:
     case Policy::Mode::adaptive: {
-      rt::AdaptiveOptions ao = policy.options;
-      if (policy.wants_pull()) ao.engine.csc = &g.csc();
-      gg::RepSet rs;
-      if (policy.wants_rep()) {
-        rs.rel = &g.relabelled_view();
-        rs.bin = &g.binned_view();
-        ao.engine.reps = &rs;
-      }
-      gg::GpuSsspResult r = rt::adaptive_sssp(dev, g.csr(), source, ao);
+      gg::GpuSsspResult r = rt::run_sssp(dev, nullptr, g.csr(), source,
+                                         detail::runtime_query(g, policy));
       out.dist = std::move(r.dist);
       out.metrics = std::move(r.metrics);
       return out;
@@ -252,41 +205,11 @@ CcResult cc(simt::Device& dev, const Graph& g, const Policy& policy) {
       out.cpu_wall_ms = r.wall_ms;
       return out;
     }
-    case Policy::Mode::fixed_variant: {
-      const gg::Representation r =
-          gg::normalize_representation(policy.variant).representation;
-      if (r == gg::Representation::plain) {
-        gg::GpuCcResult rr = gg::run_cc(dev, csr, policy.variant,
-                                        policy.options.engine);
-        out.component = std::move(rr.component);
-        out.num_components = rr.num_components;
-        out.metrics = std::move(rr.metrics);
-        return out;
-      }
-      // The views must be of the csr cc actually runs on (symmetrized when
-      // the symmetrize policy resolved to it).
-      const bool of_sym = &csr != &g.csr();
-      const graph::RelabeledGraph& view = r == gg::Representation::relabelled
-                                              ? g.relabelled_view(of_sym)
-                                              : g.binned_view(of_sym);
-      gg::GpuCcResult rr =
-          gg::run_cc(dev, view.csr, policy.variant, policy.options.engine);
-      rt::rep_canonicalize_cc(rr, view);
-      out.component = std::move(rr.component);
-      out.num_components = rr.num_components;
-      out.metrics = std::move(rr.metrics);
-      return out;
-    }
+    case Policy::Mode::fixed_variant:
     case Policy::Mode::adaptive: {
-      rt::AdaptiveOptions ao = policy.options;
-      gg::RepSet rs;
-      if (policy.wants_rep()) {
-        const bool of_sym = &csr != &g.csr();
-        rs.rel = &g.relabelled_view(of_sym);
-        rs.bin = &g.binned_view(of_sym);
-        ao.engine.reps = &rs;
-      }
-      gg::GpuCcResult r = rt::adaptive_cc(dev, csr, ao);
+      gg::GpuCcResult r = rt::run_cc(
+          dev, nullptr, csr,
+          detail::runtime_query(g, policy, /*of_symmetrized=*/&csr != &g.csr()));
       out.component = std::move(r.component);
       out.num_components = r.num_components;
       out.metrics = std::move(r.metrics);

@@ -68,12 +68,11 @@ struct Policy {
     p.options.direction = d;
     return p;
   }
-  // Sets the graph representation for BFS/SSSP/CC: on a fixed policy it pins
-  // the variant's layout (_REL/_BIN); on an adaptive policy
-  // Representation::adaptive enables the representation controller
-  // (upload-time cost function + amortized mid-run switching, knobs on
-  // options.thresholds). MST/PageRank always run plain — their results are
-  // not invariant under renumbering.
+  // Sets the graph layout for BFS/SSSP/CC: plain, relabelled (_REL), or
+  // adaptive — decide_representation picks one at query start (knobs on
+  // options.thresholds). The layout holds for the whole traversal.
+  // MST/PageRank always run plain — their results are not invariant under
+  // renumbering.
   Policy with_representation(gg::Representation r) const {
     Policy p = *this;
     p.variant.representation = r;
@@ -92,8 +91,8 @@ struct Policy {
         mode == Mode::fixed_variant ? variant.direction : options.direction;
     return d != gg::Direction::push;
   }
-  // True when this policy can run an alternate graph layout, i.e. when the
-  // relabelled/binned views may be needed.
+  // True when this policy can run the relabelled layout, i.e. when the
+  // relabelled view may be needed.
   bool wants_rep() const {
     return mode != Mode::cpu_serial &&
            representation() != gg::Representation::plain;
@@ -253,6 +252,13 @@ ResultT run_guarded(simt::Device& dev, Fn&& fn) {
     return out;
   }
 }
+
+// The runtime form of `policy` for a BFS/SSSP/CC query on `g` (on its
+// symmetrized closure when `of_symmetrized`, the cc base). Hands over the
+// Graph's cached CSC and relabelled views, so repeated queries share one
+// build. Callers pass it to rt::run_bfs / run_sssp / run_cc.
+rt::Query runtime_query(const Graph& g, const Policy& policy,
+                        bool of_symmetrized = false);
 
 }  // namespace detail
 

@@ -24,8 +24,7 @@ Graph::Graph(const Graph& other)
       weight_symmetric_(other.weight_symmetric_),
       symmetrized_(other.symmetrized_),
       csc_(other.csc_),
-      relabelled_(other.relabelled_),
-      binned_(other.binned_) {}
+      relabelled_(other.relabelled_) {}
 
 Graph& Graph::operator=(const Graph& other) {
   if (this == &other) return *this;
@@ -37,7 +36,6 @@ Graph& Graph::operator=(const Graph& other) {
   symmetrized_ = other.symmetrized_;
   csc_ = other.csc_;
   relabelled_ = other.relabelled_;
-  binned_ = other.binned_;
   // Assignment replaces this object's contents wholesale: it is a new
   // registrable identity, exactly like a copy construction.
   uid_ = next_uid();
@@ -111,12 +109,6 @@ const graph::RelabeledGraph& Graph::relabelled_view(bool of_symmetrized) const {
   return *slot;
 }
 
-const graph::RelabeledGraph& Graph::binned_view(bool of_symmetrized) const {
-  auto& slot = binned_[of_symmetrized ? 1 : 0];
-  if (!slot) slot = graph::build_binned(of_symmetrized ? symmetrized() : csr_);
-  return *slot;
-}
-
 void Graph::set_uniform_weights(std::uint32_t lo, std::uint32_t hi,
                                 std::uint64_t seed) {
   graph::assign_uniform_weights(csr_, lo, hi, seed);
@@ -127,7 +119,6 @@ void Graph::set_uniform_weights(std::uint32_t lo, std::uint32_t hi,
   symmetrized_.reset();
   csc_.reset();
   for (auto& r : relabelled_) r.reset();
-  for (auto& b : binned_) b.reset();
 }
 
 void Graph::apply_delta(const graph::EdgeDelta& delta) {
@@ -139,7 +130,6 @@ void Graph::apply_delta(const graph::EdgeDelta& delta) {
   symmetrized_.reset();
   csc_.reset();
   for (auto& r : relabelled_) r.reset();
-  for (auto& b : binned_) b.reset();
 }
 
 void Graph::save_binary(const std::string& path) const {

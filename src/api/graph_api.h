@@ -62,14 +62,13 @@ class Graph {
   // symmetrized closure. When the graph is symmetric the CSC equals the CSR
   // and this returns csr() itself (no copy). Invalidated on mutation.
   const graph::Csr& csc() const;
-  // Alternate-representation views (DESIGN.md "Representation adaptivity"):
-  // the degree-relabelled and binned/padded CSR of csr() — or, when
-  // `of_symmetrized` is set (the CC/MST base), of symmetrized() — computed
-  // lazily on first use, cached, and invalidated on mutation exactly like
-  // the CSC. The RelabeledGraph carries the permutation both ways so
-  // engine payloads can be mapped back to original ids.
+  // The degree-relabelled CSR (DESIGN.md "Representation adaptivity") of
+  // csr() — or, when `of_symmetrized` is set (the CC base), of
+  // symmetrized() — computed lazily on first use, cached, and invalidated
+  // on mutation exactly like the CSC. The RelabeledGraph carries the
+  // permutation both ways so engine payloads can be mapped back to
+  // original ids.
   const graph::RelabeledGraph& relabelled_view(bool of_symmetrized = false) const;
-  const graph::RelabeledGraph& binned_view(bool of_symmetrized = false) const;
   // A deterministic well-connected source (max outdegree).
   NodeId default_source() const { return graph::suggest_source(csr_); }
   // Bumped on every mutation; lets device-resident uploads (Session, the
@@ -113,9 +112,8 @@ class Graph {
   mutable std::optional<bool> weight_symmetric_;
   mutable std::optional<graph::Csr> symmetrized_;  // empty when symmetric
   mutable std::optional<graph::Csr> csc_;          // empty when symmetric
-  // Alternate representations of csr() ([0]) and symmetrized() ([1]).
+  // Relabelled views of csr() ([0]) and symmetrized() ([1]).
   mutable std::array<std::optional<graph::RelabeledGraph>, 2> relabelled_;
-  mutable std::array<std::optional<graph::RelabeledGraph>, 2> binned_;
 };
 
 }  // namespace adaptive

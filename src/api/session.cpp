@@ -421,39 +421,12 @@ BfsResult Session::bfs_on(simt::DeviceIndex d, const Graph& g, NodeId source,
   if (reg == nullptr) return adaptive::bfs(dev, g, source, policy);
   AGG_CHECK(source < g.num_nodes());
   return detail::run_guarded<BfsResult>(dev, [&] {
+    // The relabelled layout and the CSC nest in this pin and stay resident
+    // across queries.
     Pin& pin = ensure_fresh(*reg, d, false);
+    gg::GpuBfsResult gr = rt::run_bfs(dev, &pin.dg, g.csr(), source,
+                                      detail::runtime_query(g, policy));
     BfsResult r;
-    gg::GpuBfsResult gr;
-    if (policy.mode == Policy::Mode::fixed_variant) {
-      gg::EngineOptions eo = policy.options.engine;
-      // Pull iterations gather over the CSC; hand the engine the host copy
-      // cached on the Graph so the device upload (kept resident in this pin
-      // until release) reuses it instead of re-transposing.
-      if (policy.wants_pull()) eo.csc = &g.csc();
-      // Alternate layouts likewise reuse the Graph's cached host views; the
-      // device copies nest in this pin and stay resident across queries.
-      gg::RepSet rs;
-      const gg::Representation rep =
-          gg::normalize_representation(policy.variant).representation;
-      if (rep != gg::Representation::plain) {
-        rs.rel = &g.relabelled_view();
-        rs.bin = &g.binned_view();
-        rs.initial = rep;
-        eo.reps = &rs;
-      }
-      gr = gg::run_bfs(dev, pin.dg, g.csr(), source,
-                       gg::fixed_variant(policy.variant), eo);
-    } else {
-      rt::AdaptiveOptions ao = policy.options;
-      if (policy.wants_pull()) ao.engine.csc = &g.csc();
-      gg::RepSet rs;
-      if (policy.wants_rep()) {
-        rs.rel = &g.relabelled_view();
-        rs.bin = &g.binned_view();
-        ao.engine.reps = &rs;
-      }
-      gr = rt::adaptive_bfs(dev, pin.dg, g.csr(), source, ao);
-    }
     r.level = std::move(gr.level);
     r.metrics = std::move(gr.metrics);
     return r;
@@ -470,43 +443,9 @@ SsspResult Session::sssp_on(simt::DeviceIndex d, const Graph& g, NodeId source,
                 "call set_uniform_weights() or load weights first");
   return detail::run_guarded<SsspResult>(dev, [&] {
     Pin& pin = ensure_fresh(*reg, d, true);
+    gg::GpuSsspResult gr = rt::run_sssp(dev, &pin.dg, g.csr(), source,
+                                        detail::runtime_query(g, policy));
     SsspResult r;
-    gg::GpuSsspResult gr;
-    if (policy.mode == Policy::Mode::fixed_variant) {
-      gg::EngineOptions eo = policy.options.engine;
-      const gg::Representation rep =
-          gg::normalize_representation(policy.variant).representation;
-      if (rep == gg::Representation::plain) {
-        if (policy.wants_pull()) eo.csc = &g.csc();
-        gr = gg::run_sssp(dev, pin.dg, g.csr(), source,
-                          gg::fixed_variant(policy.variant), eo);
-      } else {
-        // Fixed alternate layout: run on the nested resident copy (pinned
-        // in pin.dg across queries) and map distances back.
-        const graph::RelabeledGraph& view =
-            rep == gg::Representation::relabelled ? g.relabelled_view()
-                                                  : g.binned_view();
-        gg::DeviceGraph* rdg = nullptr;
-        {
-          simt::StreamGuard sguard(dev, eo.stream);
-          rdg = &pin.dg.ensure_rep_resident(dev, rep, view,
-                                            /*with_weights=*/true);
-        }
-        gr = gg::run_sssp(dev, *rdg, view.csr, view.new_id[source],
-                          gg::fixed_variant(policy.variant), eo);
-        rt::rep_payload_to_original(gr.dist, view);
-      }
-    } else {
-      rt::AdaptiveOptions ao = policy.options;
-      if (policy.wants_pull()) ao.engine.csc = &g.csc();
-      gg::RepSet rs;
-      if (policy.wants_rep()) {
-        rs.rel = &g.relabelled_view();
-        rs.bin = &g.binned_view();
-        ao.engine.reps = &rs;
-      }
-      gr = rt::adaptive_sssp(dev, pin.dg, g.csr(), source, ao);
-    }
     r.dist = std::move(gr.dist);
     r.metrics = std::move(gr.metrics);
     return r;
@@ -529,39 +468,11 @@ CcResult Session::cc_on(simt::DeviceIndex d, const Graph& g,
       ensure_fresh(*reg, d, false);
       dg = &ensure_sym(*reg, d, target);
     }
+    gg::GpuCcResult gr = rt::run_cc(
+        dev, dg, target,
+        detail::runtime_query(g, policy,
+                              /*of_symmetrized=*/&target != &g.csr()));
     CcResult r;
-    const bool of_sym = &target != &g.csr();
-    gg::GpuCcResult gr;
-    if (policy.mode == Policy::Mode::fixed_variant) {
-      const gg::Representation rep =
-          gg::normalize_representation(policy.variant).representation;
-      if (rep == gg::Representation::plain) {
-        gr = gg::run_cc(dev, *dg, target, gg::fixed_variant(policy.variant),
-                        policy.options.engine);
-      } else {
-        const graph::RelabeledGraph& view =
-            rep == gg::Representation::relabelled ? g.relabelled_view(of_sym)
-                                                  : g.binned_view(of_sym);
-        gg::DeviceGraph* rdg = nullptr;
-        {
-          simt::StreamGuard sguard(dev, policy.options.engine.stream);
-          rdg = &dg->ensure_rep_resident(dev, rep, view,
-                                         /*with_weights=*/false);
-        }
-        gr = gg::run_cc(dev, *rdg, view.csr, gg::fixed_variant(policy.variant),
-                        policy.options.engine);
-        rt::rep_canonicalize_cc(gr, view);
-      }
-    } else {
-      rt::AdaptiveOptions ao = policy.options;
-      gg::RepSet rs;
-      if (policy.wants_rep()) {
-        rs.rel = &g.relabelled_view(of_sym);
-        rs.bin = &g.binned_view(of_sym);
-        ao.engine.reps = &rs;
-      }
-      gr = rt::adaptive_cc(dev, *dg, target, ao);
-    }
     r.component = std::move(gr.component);
     r.num_components = gr.num_components;
     r.metrics = std::move(gr.metrics);

@@ -25,9 +25,6 @@ constexpr simt::Site kBitmapClear{10, "bfs.bitmap-clear"};
 constexpr simt::Site kPullRowOffsets{11, "bfs.pull-row-offsets"};
 constexpr simt::Site kPullEdgeLoad{12, "bfs.pull-edge-load"};
 constexpr simt::Site kPullFrontierTest{13, "bfs.pull-frontier-test"};
-constexpr simt::Site kRepOldId{14, "bfs.rep-old-id"};
-constexpr simt::Site kRepLevelLoad{15, "bfs.rep-level-load"};
-constexpr simt::Site kRepLevelStore{16, "bfs.rep-level-store"};
 
 struct BfsKernelState {
   simt::DeviceBuffer<std::uint32_t>* level;
@@ -213,49 +210,10 @@ GpuBfsResult run_bfs(simt::Device& dev, DeviceGraph& dg, const graph::Csr& g,
   const std::uint32_t block_tpb =
       opts.block_tpb ? opts.block_tpb : derive_block_tpb(dg.avg_outdegree);
 
-  // Representation controller state (DESIGN.md "Representation adaptivity").
-  // `cur_g`/`cur_dg` always describe the layout the kernels run over;
-  // `cur_view` carries the id maps when that layout is not the plain CSR
-  // (null = identity). Host bookkeeping (`seen`, unexplored mass) and the
-  // selector's topology stats stay in ORIGINAL graph terms throughout — the
-  // decisions are about the logical graph, not the layout du jour.
-  const RepSet* reps = opts.reps;
-  Representation rep = Representation::plain;
-  const graph::RelabeledGraph* cur_view = nullptr;
-  std::optional<graph::RelabeledGraph> rel_scratch;
-  std::optional<graph::RelabeledGraph> bin_scratch;
-  const auto obtain_view = [&](Representation kind) {
-    const bool to_rel = kind == Representation::relabelled;
-    const graph::RelabeledGraph* view = to_rel ? reps->rel : reps->bin;
-    if (view == nullptr) {
-      auto& scratch = to_rel ? rel_scratch : bin_scratch;
-      if (!scratch) {
-        scratch = to_rel ? graph::relabel_by_degree(g) : graph::build_binned(g);
-      }
-      view = &*scratch;
-    }
-    return view;
-  };
-  const graph::Csr* cur_g = &g;
-  DeviceGraph* cur_dg = &dg;
-  if (reps && reps->initial != Representation::plain) {
-    // Upload-time decision: start directly in the preferred layout. The
-    // conversion upload is charged here (a no-op when a Session pin already
-    // holds the layout resident).
-    cur_view = obtain_view(reps->initial);
-    cur_dg = &dg.ensure_rep_resident(dev, reps->initial, *cur_view,
-                                     /*with_weights=*/false);
-    cur_g = &cur_view->csr;
-    rep = reps->initial;
-  }
-  const auto to_cur = [&](std::uint32_t orig) {
-    return cur_view ? cur_view->new_id[orig] : orig;
-  };
-
-  auto level = dev.alloc<std::uint32_t>(cur_g->num_nodes, "bfs.level");
+  auto level = dev.alloc<std::uint32_t>(g.num_nodes, "bfs.level");
   dev.fill(level, graph::kInfinity);
-  dev.write_scalar(level, to_cur(source), 0u);
-  Workset ws(dev, cur_g->num_nodes);
+  dev.write_scalar(level, source, 0u);
+  Workset ws(dev, g.num_nodes);
 
   // Direction-optimizing bookkeeping (Beamer-style, host side): out-edges of
   // vertices the traversal has not touched yet, maintained by first-touch
@@ -264,7 +222,6 @@ GpuBfsResult run_bfs(simt::Device& dev, DeviceGraph& dg, const graph::Csr& g,
   std::vector<std::uint8_t> seen(g.num_nodes, 0);
   seen[source] = 1;
   std::optional<graph::Csr> csc_scratch;
-  std::optional<graph::Csr> csc_scratch_rep;
 
   SelectorInput sel;
   sel.iteration = 0;
@@ -274,24 +231,13 @@ GpuBfsResult run_bfs(simt::Device& dev, DeviceGraph& dg, const graph::Csr& g,
   sel.num_nodes = g.num_nodes;
   sel.frontier_edges = g.degree(source);
   sel.unexplored_edges = unexplored_edges;
-  sel.num_edges = dg.num_edges;
   sel.direction = Direction::push;
-  sel.representation = rep;
-  sel.max_outdegree = 0;
-  for (std::uint32_t v = 0; v < g.num_nodes; ++v) {
-    sel.max_outdegree = std::max(sel.max_outdegree, g.degree(v));
-  }
-  sel.rel_available = reps != nullptr;
-  sel.bin_available = reps != nullptr;
-  sel.rel_resident = dg.rep_resident(Representation::relabelled, false);
-  sel.bin_resident = dg.rep_resident(Representation::binned, false);
   Variant variant = normalize_direction(selector(sel));
-  variant.representation = rep;
-  ws.init_source(dev, to_cur(source), variant.repr);
+  ws.init_source(dev, source, variant.repr);
 
-  std::vector<std::uint32_t> frontier{to_cur(source)};
+  std::vector<std::uint32_t> frontier{source};
   std::vector<std::uint32_t> updated;
-  BfsKernelState st{&level, cur_dg, &ws, &updated,
+  BfsKernelState st{&level, &dg, &ws, &updated,
                     variant.ordering == Ordering::ordered};
 
   const std::uint64_t max_iters =
@@ -303,7 +249,7 @@ GpuBfsResult run_bfs(simt::Device& dev, DeviceGraph& dg, const graph::Csr& g,
   if (on_cpu) {
     // Entering a CPU phase: download the state array (Hong et al. [13]-style
     // hybrid execution keeps host and device copies in sync at switches).
-    dev.account_transfer(4ull * cur_g->num_nodes, /*to_device=*/false);
+    dev.account_transfer(4ull * g.num_nodes, /*to_device=*/false);
   }
 
   std::uint32_t iteration = 0;
@@ -314,7 +260,7 @@ GpuBfsResult run_bfs(simt::Device& dev, DeviceGraph& dg, const graph::Csr& g,
 
     st.ordered = variant.ordering == Ordering::ordered;
     std::uint64_t frontier_edges = 0;
-    for (const std::uint32_t v : frontier) frontier_edges += cur_g->degree(v);
+    for (const std::uint32_t v : frontier) frontier_edges += g.degree(v);
     result.metrics.edges_processed += frontier_edges;
 
     if (on_cpu) {
@@ -324,7 +270,7 @@ GpuBfsResult run_bfs(simt::Device& dev, DeviceGraph& dg, const graph::Csr& g,
       auto update_view = ws.update().host_view();
       for (const std::uint32_t v : frontier) {
         const std::uint32_t next_level = level_view[v] + 1;
-        for (const graph::NodeId t : cur_g->neighbors(v)) {
+        for (const graph::NodeId t : g.neighbors(v)) {
           const bool improves = st.ordered ? level_view[t] == graph::kInfinity
                                            : next_level < level_view[t];
           if (improves) {
@@ -346,11 +292,8 @@ GpuBfsResult run_bfs(simt::Device& dev, DeviceGraph& dg, const graph::Csr& g,
       // kernel against the bitmap frontier, then wipe the consumed frontier
       // bits (pull kernels cannot clear them in-kernel — every in-edge scan
       // reads them).
-      ensure_csc_resident(dev, *cur_dg, *cur_g,
-                          rep == Representation::plain ? opts.csc : nullptr,
-                          /*with_weights=*/false,
-                          rep == Representation::plain ? csc_scratch
-                                                       : csc_scratch_rep);
+      ensure_csc_resident(dev, dg, g, opts.csc, /*with_weights=*/false,
+                          csc_scratch);
       launch_pull(dev, st, opts.thread_tpb);
       ws.charge_changed_flag_readback(dev);
       ws.clear_frontier_bitmap(dev, frontier);
@@ -367,11 +310,10 @@ GpuBfsResult run_bfs(simt::Device& dev, DeviceGraph& dg, const graph::Csr& g,
 
     std::uint64_t next_frontier_edges = 0;
     for (const std::uint32_t v : updated) {
-      const std::uint64_t d = cur_g->degree(v);
+      const std::uint64_t d = g.degree(v);
       next_frontier_edges += d;
-      const std::uint32_t ov = cur_view ? cur_view->old_id[v] : v;
-      if (!seen[ov]) {
-        seen[ov] = 1;
+      if (!seen[v]) {
+        seen[v] = 1;
         unexplored_edges -= d;
       }
     }
@@ -390,20 +332,9 @@ GpuBfsResult run_bfs(simt::Device& dev, DeviceGraph& dg, const graph::Csr& g,
       sel.frontier_edges = next_frontier_edges;
       sel.unexplored_edges = unexplored_edges;
       sel.direction = variant.direction;
-      sel.representation = rep;
-      sel.rel_resident = dg.rep_resident(Representation::relabelled, false);
-      sel.bin_resident = dg.rep_resident(Representation::binned, false);
       ++result.metrics.decisions;
       next = normalize_direction(selector(sel));
       next.ordering = variant.ordering;  // ordering is fixed per traversal
-      // Representation switches are single-hop from plain and only apply on
-      // device (a CPU phase has no layout to speak of); anything else keeps
-      // the layout the traversal is already in.
-      if (next.representation != rep &&
-          (reps == nullptr || rep != Representation::plain || on_cpu ||
-           next_on_cpu)) {
-        next.representation = rep;
-      }
       if (!on_cpu && next != variant) ++result.metrics.switches;
     }
 
@@ -412,48 +343,12 @@ GpuBfsResult run_bfs(simt::Device& dev, DeviceGraph& dg, const graph::Csr& g,
     if (on_cpu != next_on_cpu) {
       // Direction switch: sync the state array across PCIe.
       if (next_on_cpu) {
-        dev.account_transfer(4ull * cur_g->num_nodes, /*to_device=*/false);
+        dev.account_transfer(4ull * g.num_nodes, /*to_device=*/false);
       } else {
-        dev.account_transfer(4ull * cur_g->num_nodes, /*to_device=*/true);
+        dev.account_transfer(4ull * g.num_nodes, /*to_device=*/true);
         // Re-materialize the device update vector before generation.
-        dev.account_transfer(cur_g->num_nodes, /*to_device=*/true);
+        dev.account_transfer(g.num_nodes, /*to_device=*/true);
       }
-    }
-
-    if (next.representation != rep) {
-      // Mid-run representation switch (amortization-checked by the
-      // controller): pin the target layout (conversion billed on the copy
-      // engine), migrate the level array on-device through the id maps,
-      // and re-seed the working set in the new id space.
-      const graph::RelabeledGraph* view = obtain_view(next.representation);
-      DeviceGraph& ndg = dg.ensure_rep_resident(dev, next.representation,
-                                                *view, /*with_weights=*/false);
-      DeviceGraph::RepResident& maps = dg.rep_slot(next.representation);
-      const std::uint32_t n_new = ndg.num_nodes;
-      auto nlevel = dev.alloc<std::uint32_t>(n_new, "bfs.level");
-      const auto grid = simt::GridSpec::dense(n_new, opts.thread_tpb);
-      simt::launch(dev, "bfs.rep.migrate",
-                   grid.with(simt::LaunchPolicy::parallel),
-                   [&](simt::ThreadCtx& ctx) {
-        const auto id = static_cast<std::uint32_t>(ctx.global_id());
-        const std::uint32_t old = ctx.load(maps.old_id, id, kRepOldId);
-        const std::uint32_t lvl =
-            old == graph::kInfinity
-                ? graph::kInfinity
-                : ctx.load(level, old, kRepLevelLoad);
-        ctx.store(nlevel, id, lvl, kRepLevelStore);
-      });
-      dev.free(level);
-      level = std::move(nlevel);
-      ws.release(dev);
-      ws = Workset(dev, n_new);
-      for (std::uint32_t& v : updated) v = view->new_id[v];
-      std::sort(updated.begin(), updated.end());
-      cur_view = view;
-      cur_g = &view->csr;
-      cur_dg = &ndg;
-      st.graph = cur_dg;
-      rep = next.representation;
     }
 
     if (!updated.empty() && !next_on_cpu) {
@@ -476,27 +371,12 @@ GpuBfsResult run_bfs(simt::Device& dev, DeviceGraph& dg, const graph::Csr& g,
   }
 
   // Download the result (included in the measured time, as in the paper).
-  // A traversal that ends in an alternate layout downloads the slot-space
-  // levels and maps them back to original ids — payloads never leave the
-  // engine in a permuted space.
   result.level.resize(g.num_nodes);
   if (on_cpu) {
     // Hybrid run ended in a CPU phase: the state array is already host
     // resident, so no download is charged.
     const auto view = level.host_view();
-    if (cur_view) {
-      for (std::uint32_t v = 0; v < g.num_nodes; ++v) {
-        result.level[v] = view[cur_view->new_id[v]];
-      }
-    } else {
-      std::copy(view.begin(), view.end(), result.level.begin());
-    }
-  } else if (cur_view) {
-    std::vector<std::uint32_t> slot_level(cur_g->num_nodes);
-    dev.memcpy_d2h(std::span<std::uint32_t>(slot_level), level);
-    for (std::uint32_t v = 0; v < g.num_nodes; ++v) {
-      result.level[v] = slot_level[cur_view->new_id[v]];
-    }
+    std::copy(view.begin(), view.end(), result.level.begin());
   } else {
     dev.memcpy_d2h(std::span<std::uint32_t>(result.level), level);
   }

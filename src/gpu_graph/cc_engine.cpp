@@ -201,7 +201,6 @@ GpuCcResult run_cc(simt::Device& dev, DeviceGraph& dg, const graph::Csr& g,
   sel.avg_outdegree = dg.avg_outdegree;
   sel.outdeg_stddev = dg.outdeg_stddev;
   sel.num_nodes = g.num_nodes;
-  sel.num_edges = dg.num_edges;
   // Every node starts in the working set, so every edge is frontier-adjacent
   // and the gather sweep has nothing extra to read (unexplored = m - fe = 0):
   // the direction controller sees a saturated frontier from iteration one and

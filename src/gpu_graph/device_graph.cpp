@@ -57,13 +57,11 @@ std::uint64_t patch_array(simt::Device& dev,
   return (last - first) * sizeof(std::uint32_t);
 }
 
-void free_rep(simt::Device& dev, DeviceGraph::RepResident& r) {
-  if (r.dg) {
-    r.dg->release(dev);
-    r.dg.reset();
+void free_rep(simt::Device& dev, std::unique_ptr<DeviceGraph>& rel) {
+  if (rel) {
+    rel->release(dev);
+    rel.reset();
   }
-  if (r.new_id.valid()) dev.free(r.new_id);
-  if (r.old_id.valid()) dev.free(r.old_id);
 }
 
 }  // namespace
@@ -124,44 +122,25 @@ DeviceGraph::PatchStats DeviceGraph::patch(simt::Device& dev,
   if (in_row_offsets.valid()) dev.free(in_row_offsets);
   if (in_col_indices.valid()) dev.free(in_col_indices);
   if (in_weights.valid()) dev.free(in_weights);
-  // Same for the alternate-representation residents: a delta changes both
-  // the permutation (degrees moved) and the edge arrays, so the relabelled
-  // and binned layouts are rebuilt from the post-delta host views on the
-  // next query that wants them.
+  // Same for the relabelled resident: a delta changes both the permutation
+  // (degrees moved) and the edge arrays, so the layout is rebuilt from the
+  // post-delta host view on the next query that wants it.
   free_rep(dev, rel);
-  free_rep(dev, bin);
   return ps;
 }
 
-DeviceGraph::RepResident& DeviceGraph::rep_slot(Representation kind) {
-  AGG_CHECK(kind == Representation::relabelled ||
-            kind == Representation::binned);
-  return kind == Representation::relabelled ? rel : bin;
-}
-
-bool DeviceGraph::rep_resident(Representation kind, bool with_weights) const {
-  const RepResident& r = kind == Representation::relabelled ? rel : bin;
-  return r.dg != nullptr && (!with_weights || r.dg->weights.valid());
-}
-
 DeviceGraph& DeviceGraph::ensure_rep_resident(simt::Device& dev,
-                                              Representation kind,
                                               const graph::RelabeledGraph& view,
                                               bool with_weights) {
-  RepResident& r = rep_slot(kind);
-  if (r.dg && with_weights && !r.dg->weights.valid()) {
+  if (rel && with_weights && !rel->weights.valid()) {
     // Weight mode widened since the layout was pinned: rebuild.
-    free_rep(dev, r);
+    free_rep(dev, rel);
   }
-  if (!r.dg) {
-    r.dg = std::make_unique<DeviceGraph>(
+  if (!rel) {
+    rel = std::make_unique<DeviceGraph>(
         DeviceGraph::upload(dev, view.csr, with_weights));
-    r.new_id = dev.alloc<std::uint32_t>(view.new_id.size(), "rep.new_id");
-    dev.memcpy_h2d(r.new_id, std::span<const std::uint32_t>(view.new_id));
-    r.old_id = dev.alloc<std::uint32_t>(view.old_id.size(), "rep.old_id");
-    dev.memcpy_h2d(r.old_id, std::span<const std::uint32_t>(view.old_id));
   }
-  return *r.dg;
+  return *rel;
 }
 
 void DeviceGraph::upload_csc(simt::Device& dev, const graph::Csr& csc,
@@ -192,7 +171,6 @@ void DeviceGraph::release(simt::Device& dev) {
   if (in_col_indices.valid()) dev.free(in_col_indices);
   if (in_weights.valid()) dev.free(in_weights);
   free_rep(dev, rel);
-  free_rep(dev, bin);
 }
 
 void ensure_csc_resident(simt::Device& dev, DeviceGraph& dg,

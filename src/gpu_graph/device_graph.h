@@ -11,7 +11,6 @@
 
 #include "graph/csr.h"
 #include "graph/transform.h"
-#include "gpu_graph/variant.h"
 #include "simt/device.h"
 
 namespace gg {
@@ -54,26 +53,15 @@ struct DeviceGraph {
     return in_row_offsets.valid() && (!with_weights || in_weights.valid());
   }
 
-  // Alternate-representation residents (DESIGN.md "Representation
-  // adaptivity"): the degree-relabelled / binned-padded CSR of the same
-  // logical graph, pinned alongside the plain CSR with both id maps so the
-  // engines can migrate payloads across id spaces on-device. Uploaded
-  // lazily on first use; patch() and release() drop them (a later query
-  // under the same representation rebuilds from the host view). The nested
+  // Degree-relabelled resident (DESIGN.md "Representation adaptivity"):
+  // the relabelled CSR of the same logical graph, pinned alongside the plain
+  // CSR. Uploaded lazily on first use; patch() and release() drop it (a
+  // later relabelled query rebuilds it from the host view). The nested
   // DeviceGraph makes this type move-only.
-  struct RepResident {
-    std::unique_ptr<DeviceGraph> dg;
-    simt::DeviceBuffer<std::uint32_t> new_id;  // n: original -> slot
-    simt::DeviceBuffer<std::uint32_t> old_id;  // slots: slot -> original (kInfinity = pad)
-  };
-  RepResident rel;
-  RepResident bin;
-
-  RepResident& rep_slot(Representation kind);
-  bool rep_resident(Representation kind, bool with_weights) const;
-  // Makes the `kind` resident match `view` (idempotent per residency;
-  // re-uploads when the weight mode widens). Returns the nested resident.
-  DeviceGraph& ensure_rep_resident(simt::Device& dev, Representation kind,
+  std::unique_ptr<DeviceGraph> rel;
+  // Makes `rel` resident as `view` (idempotent per residency; re-uploads
+  // when the weight mode widens). Returns the nested resident.
+  DeviceGraph& ensure_rep_resident(simt::Device& dev,
                                    const graph::RelabeledGraph& view,
                                    bool with_weights);
 

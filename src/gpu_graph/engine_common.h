@@ -12,22 +12,9 @@
 
 namespace graph {
 struct Csr;
-struct RelabeledGraph;
 }
 
 namespace gg {
-
-// Host-side alternate-representation views for the in-engine representation
-// controller (DESIGN.md "Representation adaptivity"). Non-owning: the
-// API/Session layers pass the Graph's cached views so repeated queries share
-// one conversion; a null member means that layout is unavailable and the
-// controller will not select it. `initial` is the upload-time decision the
-// traversal starts in.
-struct RepSet {
-  const graph::RelabeledGraph* rel = nullptr;
-  const graph::RelabeledGraph* bin = nullptr;
-  Representation initial = Representation::plain;
-};
 
 struct EngineOptions {
   // Stream context (simt/stream.h): every kernel, transfer and host phase of
@@ -71,11 +58,6 @@ struct EngineOptions {
   // pinning keeps it across queries). Not owned; must outlive the call.
   const graph::Csr* csc = nullptr;
 
-  // Alternate-representation views for the in-engine representation
-  // controller (BFS only today). Null = representation switching off: the
-  // traversal stays in whatever layout the graph was handed over in. Not
-  // owned; must outlive the call.
-  const RepSet* reps = nullptr;
 };
 
 struct SelectorInput {
@@ -88,24 +70,11 @@ struct SelectorInput {
   std::uint32_t num_nodes = 0;
   // Direction-optimizing inputs (Beamer-style, fed from the same inspector
   // bookkeeping): out-edges incident to the working set, out-edges of
-  // not-yet-touched vertices, total edges, and the direction the previous
-  // iteration ran in (push on the initial selection).
+  // not-yet-touched vertices, and the direction the previous iteration ran
+  // in (push on the initial selection).
   std::uint64_t frontier_edges = 0;
   std::uint64_t unexplored_edges = 0;
-  std::uint64_t num_edges = 0;
   Direction direction = Direction::push;
-  // Representation inputs: the layout the previous iteration ran in, the
-  // whole-graph max outdegree (hub-ratio term of the static preference),
-  // and which alternate layouts are available / already device-resident
-  // (the amortization gate charges an unbuilt target more). The engine
-  // keeps the ORIGINAL graph's stats in this struct even while running a
-  // permuted or padded layout — decisions are about the logical graph.
-  Representation representation = Representation::plain;
-  std::uint32_t max_outdegree = 0;
-  bool rel_available = false;
-  bool bin_available = false;
-  bool rel_resident = false;
-  bool bin_resident = false;
 };
 
 using VariantSelector = std::function<Variant(const SelectorInput&)>;
@@ -126,16 +95,6 @@ inline Variant normalize_direction(Variant v) {
   if (v.direction == Direction::pull) {
     v.mapping = Mapping::thread;
     v.repr = WorksetRepr::bitmap;
-  }
-  return v;
-}
-
-// Representation::adaptive likewise never reaches a kernel: the runtime
-// resolves it at upload time and per iteration; a fixed "_AREP" variant
-// without the controller degrades to plain.
-inline Variant normalize_representation(Variant v) {
-  if (v.representation == Representation::adaptive) {
-    v.representation = Representation::plain;
   }
   return v;
 }

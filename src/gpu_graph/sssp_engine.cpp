@@ -201,7 +201,6 @@ GpuSsspResult run_unordered(simt::Device& dev, DeviceGraph& dg,
   sel.avg_outdegree = dg.avg_outdegree;
   sel.outdeg_stddev = dg.outdeg_stddev;
   sel.num_nodes = g.num_nodes;
-  sel.num_edges = dg.num_edges;
   // Direction controller input: unlike BFS, a weighted min-fold cannot stop
   // at the first frontier in-neighbor, so a pull iteration always rescans
   // every in-edge *and* its weight — the gather volume is a flat 2m however
@@ -555,7 +554,6 @@ GpuSsspResult run_sssp(simt::Device& dev, DeviceGraph& dg, const graph::Csr& g,
   sel.avg_outdegree = dg.avg_outdegree;
   sel.outdeg_stddev = dg.outdeg_stddev;
   sel.num_nodes = g.num_nodes;
-  sel.num_edges = dg.num_edges;
   sel.frontier_edges = g.degree(source);
   // Flat gather-volume proxy; see run_unordered for why SSSP reports 2m.
   sel.unexplored_edges = 2 * dg.num_edges;

@@ -46,10 +46,18 @@ const char* representation_name(Representation r) {
   switch (r) {
     case Representation::plain: return "plain";
     case Representation::relabelled: return "relabelled";
-    case Representation::binned: return "binned";
     case Representation::adaptive: return "adaptive";
   }
   return "plain";
+}
+
+std::optional<Representation> try_parse_representation(const std::string& name) {
+  for (const Representation r : {Representation::plain,
+                                 Representation::relabelled,
+                                 Representation::adaptive}) {
+    if (name == representation_name(r)) return r;
+  }
+  return std::nullopt;
 }
 
 std::string variant_name(const Variant& v) {
@@ -68,7 +76,6 @@ std::string variant_name(const Variant& v) {
   // Representation is the outermost suffix (plain stays unspelled), so
   // names compose as base[_direction][_representation]: U_T_BM_PULL_REL.
   if (v.representation == Representation::relabelled) name += "_REL";
-  if (v.representation == Representation::binned) name += "_BIN";
   if (v.representation == Representation::adaptive) name += "_AREP";
   return name;
 }
@@ -89,8 +96,6 @@ std::optional<Variant> try_parse_variant(const std::string& name) {
   // Representation suffixes are outermost, so they strip first.
   if (strip("_REL")) {
     rep = Representation::relabelled;
-  } else if (strip("_BIN")) {
-    rep = Representation::binned;
   } else if (strip("_AREP")) {
     rep = Representation::adaptive;
   }
@@ -133,7 +138,7 @@ Variant parse_variant(const std::string& name) {
   const std::optional<Variant> v = try_parse_variant(name);
   AGG_CHECK_MSG(v.has_value(),
                 "variant names look like U_T_BM (optionally _PULL/_DO, "
-                "then _REL/_BIN/_AREP)");
+                "then _REL/_AREP)");
   return *v;
 }
 

@@ -26,13 +26,11 @@ enum class Mapping : std::uint8_t { thread, block, warp };
 enum class WorksetRepr : std::uint8_t { bitmap, queue };
 enum class Direction : std::uint8_t { push, pull, adaptive };
 // Graph-layout axis (the 5th adaptive dimension): plain CSR in original id
-// order, degree-relabelled CSR (rows permuted by descending outdegree so
-// consecutive thread ids — which form warps — carry similar work), and
-// binned/padded CSR (rows grouped into power-of-two degree buckets, each
-// padded to a warp multiple, keeping within-bucket original order for
-// locality). `Representation::adaptive` never reaches a kernel: the
-// runtime resolves it at upload time and may re-decide between iterations.
-enum class Representation : std::uint8_t { plain, relabelled, binned, adaptive };
+// order, or degree-relabelled CSR (rows permuted by descending outdegree so
+// consecutive thread ids — which form warps — carry similar work).
+// `Representation::adaptive` never reaches a kernel: the runtime resolves
+// it once, at query start, and the traversal keeps that layout throughout.
+enum class Representation : std::uint8_t { plain, relabelled, adaptive };
 
 struct Variant {
   Ordering ordering = Ordering::unordered;
@@ -55,9 +53,12 @@ std::array<Variant, 2> warp_centric_variants();
 std::string variant_name(const Variant& v);
 const char* direction_name(Direction d);
 const char* representation_name(Representation r);
+// Inverse of representation_name ("plain", "relabelled", "adaptive");
+// nullopt on any other spelling.
+std::optional<Representation> try_parse_representation(const std::string& name);
 // Parses names like "U_B_QU", optionally suffixed with a direction
 // ("U_T_BM_PULL", "U_T_BM_DO"; no suffix or "_PUSH" means push) and/or an
-// outermost representation ("U_T_BM_REL", "U_T_BM_PULL_BIN", "U_T_BM_AREP";
+// outermost representation ("U_T_BM_REL", "U_T_BM_PULL_REL", "U_T_BM_AREP";
 // no suffix means plain). Returns nullopt on malformed input.
 std::optional<Variant> try_parse_variant(const std::string& name);
 // Same grammar; aborts on malformed input (legacy contract).

@@ -1,7 +1,6 @@
 #include "graph/transform.h"
 
 #include <algorithm>
-#include <array>
 #include <map>
 #include <numeric>
 #include <tuple>
@@ -82,62 +81,6 @@ RelabeledGraph relabel_by_degree(const Csr& g, bool descending) {
   std::vector<NodeId> new_id(g.num_nodes);
   for (std::uint32_t pos = 0; pos < g.num_nodes; ++pos) new_id[order[pos]] = pos;
   return relabel(g, new_id);
-}
-
-RelabeledGraph build_binned(const Csr& g, std::uint32_t bin_align) {
-  AGG_CHECK(bin_align > 0);
-  RelabeledGraph out;
-  const std::uint32_t n = g.num_nodes;
-  out.new_id.assign(n, 0);
-  // Bucket rows by the bit width of their outdegree (degree 0 -> bucket 0,
-  // 1 -> 1, 2..3 -> 2, 4..7 -> 3, ...): within a bucket the max/min degree
-  // ratio is < 2, which bounds per-warp lane imbalance once buckets are
-  // warp-aligned.
-  std::array<std::vector<NodeId>, 33> buckets;
-  for (std::uint32_t v = 0; v < n; ++v) {
-    std::uint32_t d = g.degree(v);
-    std::uint32_t b = 0;
-    while (d != 0) {
-      ++b;
-      d >>= 1;
-    }
-    buckets[b].push_back(v);
-  }
-  std::vector<NodeId> slot_to_old;
-  slot_to_old.reserve(n + 33 * bin_align);
-  for (int b = 32; b >= 0; --b) {
-    if (buckets[b].empty()) continue;
-    for (const NodeId v : buckets[b]) {
-      out.new_id[v] = static_cast<NodeId>(slot_to_old.size());
-      slot_to_old.push_back(v);
-    }
-    while (slot_to_old.size() % bin_align != 0) slot_to_old.push_back(kInfinity);
-  }
-  const auto num_slots = static_cast<std::uint32_t>(slot_to_old.size());
-  out.old_id = std::move(slot_to_old);
-
-  Csr& c = out.csr;
-  c.num_nodes = num_slots;
-  c.row_offsets.assign(num_slots + 1, 0);
-  for (std::uint32_t s = 0; s < num_slots; ++s) {
-    const NodeId old = out.old_id[s];
-    c.row_offsets[s + 1] =
-        c.row_offsets[s] + (old == kInfinity ? 0 : g.degree(old));
-  }
-  c.col_indices.resize(g.num_edges());
-  if (g.has_weights()) c.weights.resize(g.num_edges());
-  for (std::uint32_t s = 0; s < num_slots; ++s) {
-    const NodeId old = out.old_id[s];
-    if (old == kInfinity) continue;
-    const auto nbrs = g.neighbors(old);
-    std::uint32_t at = c.row_offsets[s];
-    for (std::size_t i = 0; i < nbrs.size(); ++i, ++at) {
-      c.col_indices[at] = out.new_id[nbrs[i]];
-      if (g.has_weights()) c.weights[at] = g.weights[g.row_offsets[old] + i];
-    }
-  }
-  c.validate();
-  return out;
 }
 
 RelabeledGraph induced_subgraph(const Csr& g, std::span<const NodeId> nodes) {

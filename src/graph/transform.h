@@ -39,17 +39,6 @@ RelabeledGraph relabel_by_degree(const Csr& g, bool descending = true);
 // Applies an arbitrary permutation (new_id[old] = new position).
 RelabeledGraph relabel(const Csr& g, std::span<const NodeId> new_id);
 
-// Binned/padded CSR ("CSR-bin"): rows are stably grouped into power-of-two
-// outdegree buckets (highest bucket first, original order kept inside a
-// bucket for neighbor-gather locality), and every bucket is padded with
-// empty rows to a multiple of `bin_align` (the warp width). Because warps
-// form over consecutive ids, a warp then only ever spans rows of one degree
-// class and stops paying the max-lane divergence of a stray hub. The result
-// is a larger graph: csr.num_nodes = slot count >= g.num_nodes, old_id has
-// one entry per slot (kInfinity marks a pad slot), new_id one per original
-// node. Pad slots have no out-edges and are never the target of any edge.
-RelabeledGraph build_binned(const Csr& g, std::uint32_t bin_align = 32);
-
 // The subgraph induced by `nodes` (need not be sorted; must be unique).
 // Nodes are renumbered 0..k-1 in the given order; old_id maps back.
 RelabeledGraph induced_subgraph(const Csr& g, std::span<const NodeId> nodes);

@@ -31,8 +31,6 @@ Thresholds effective_thresholds(simt::Device& dev, const AdaptiveOptions& opts) 
   t.rep_cv = opts.thresholds.rep_cv;
   t.rep_hub = opts.thresholds.rep_hub;
   t.rep_min_nodes = opts.thresholds.rep_min_nodes;
-  t.rep_switch_fraction = opts.thresholds.rep_switch_fraction;
-  t.rep_upload_fraction = opts.thresholds.rep_upload_fraction;
   return t;
 }
 
@@ -73,65 +71,27 @@ void emit_decision(const Thresholds& t, std::uint32_t interval,
   prev_variant = std::move(name);
 }
 
-std::uint32_t max_outdegree_of(const graph::Csr& g) {
-  std::uint32_t maxd = 0;
+// Query-start layout resolution (decide_representation) on the stats of the
+// resident graph, or of the host CSR on a one-shot path.
+gg::Representation resolve_representation(const Thresholds& t,
+                                          const graph::Csr& g,
+                                          const gg::DeviceGraph* dg) {
+  if (dg == nullptr) {
+    const graph::GraphStats s = graph::GraphStats::compute(g);
+    return decide_representation(t, g.num_nodes, s.outdeg_avg,
+                                 s.outdeg_stddev, s.outdeg_max);
+  }
+  std::uint32_t max_outdegree = 0;
   for (std::uint32_t v = 0; v < g.num_nodes; ++v) {
-    maxd = std::max(maxd, g.degree(v));
+    max_outdegree = std::max(max_outdegree, g.degree(v));
   }
-  return maxd;
+  return decide_representation(t, g.num_nodes, dg->avg_outdegree,
+                               dg->outdeg_stddev, max_outdegree);
 }
 
-// Query-start representation resolution for the engines without an
-// in-engine controller (SSSP/CC): picks the layout once, on the same pure
-// cost function the BFS controller uses. The resolved host view is either
-// the caller's cached one (AdaptiveOptions.engine.reps, Session/service
-// paths) or a local scratch conversion (one-shot paths).
-struct RepResolution {
-  gg::Representation kind = gg::Representation::plain;
-  const graph::RelabeledGraph* external = nullptr;
-  std::optional<graph::RelabeledGraph> scratch;
-  const graph::RelabeledGraph& view() const {
-    return scratch ? *scratch : *external;
-  }
-};
-
-void resolve_representation(const Thresholds& t, const AdaptiveOptions& opts,
-                            const graph::Csr& g, const gg::DeviceGraph* dg,
-                            RepResolution& out) {
-  gg::Representation kind = opts.representation;
-  if (kind == gg::Representation::adaptive) {
-    double avg = 0.0;
-    double stddev = 0.0;
-    if (dg != nullptr) {
-      avg = dg->avg_outdegree;
-      stddev = dg->outdeg_stddev;
-    } else {
-      const graph::GraphStats s = graph::GraphStats::compute(g);
-      avg = s.outdeg_avg;
-      stddev = s.outdeg_stddev;
-    }
-    kind = decide_representation(t, g.num_nodes, avg, stddev,
-                                 max_outdegree_of(g));
-  }
-  if (kind == gg::Representation::plain) return;
-  out.kind = kind;
-  const gg::RepSet* rs = opts.engine.reps;
-  const graph::RelabeledGraph* view =
-      kind == gg::Representation::relabelled ? (rs ? rs->rel : nullptr)
-                                             : (rs ? rs->bin : nullptr);
-  if (view != nullptr) {
-    out.external = view;
-  } else {
-    out.scratch = kind == gg::Representation::relabelled
-                      ? graph::relabel_by_degree(g)
-                      : graph::build_binned(g);
-  }
-}
-
-}  // namespace
-
-void rep_payload_to_original(std::vector<std::uint32_t>& payload,
-                             const graph::RelabeledGraph& view) {
+// payload_orig[v] = payload_layout[new_id[v]].
+void to_original(std::vector<std::uint32_t>& payload,
+                 const graph::RelabeledGraph& view) {
   std::vector<std::uint32_t> orig(view.new_id.size());
   for (std::uint32_t v = 0; v < orig.size(); ++v) {
     orig[v] = payload[view.new_id[v]];
@@ -139,23 +99,120 @@ void rep_payload_to_original(std::vector<std::uint32_t>& payload,
   payload.swap(orig);
 }
 
-// A binned layout's pad slots are singleton components no original node maps
-// to; they drop out of the recount here.
-void rep_canonicalize_cc(gg::GpuCcResult& r, const graph::RelabeledGraph& view) {
+// CC labels are "smallest id in the component" in the layout's id space;
+// canonicalize to the smallest ORIGINAL id.
+void canonicalize_cc(gg::GpuCcResult& r, const graph::RelabeledGraph& view) {
   const auto n = static_cast<std::uint32_t>(view.new_id.size());
-  std::vector<std::uint32_t> min_orig(r.component.size(), graph::kInfinity);
+  std::vector<std::uint32_t> min_orig(n, graph::kInfinity);
   for (std::uint32_t v = 0; v < n; ++v) {
-    std::uint32_t& slot = min_orig[r.component[view.new_id[v]]];
-    slot = std::min(slot, v);
+    std::uint32_t& label = min_orig[r.component[view.new_id[v]]];
+    label = std::min(label, v);
   }
   std::vector<std::uint32_t> orig(n);
-  std::uint32_t count = 0;
   for (std::uint32_t v = 0; v < n; ++v) {
     orig[v] = min_orig[r.component[view.new_id[v]]];
-    if (orig[v] == v) ++count;
   }
   r.component.swap(orig);
-  r.num_components = count;
+}
+
+Query adaptive_query(const AdaptiveOptions& opts) {
+  Query q;
+  q.options = opts;
+  return q;
+}
+
+// The layout a query runs in, as handed to the engine call.
+struct Layout {
+  gg::DeviceGraph* dg;  // resident graph in this layout; null = one-shot
+  const graph::Csr& csr;
+  const graph::RelabeledGraph* view;  // null = plain (original ids)
+  gg::VariantSelector selector;
+  gg::EngineOptions eo;
+
+  graph::NodeId to_layout(graph::NodeId v) const {
+    return view ? view->new_id[v] : v;
+  }
+};
+
+template <class Engine>
+auto run_in_layout(simt::Device& dev, gg::DeviceGraph* dg,
+                   const graph::Csr& g, const Query& q, const char* algo,
+                   bool with_weights, Engine&& engine) {
+  const AdaptiveOptions& o = q.options;
+  const Thresholds t = effective_thresholds(dev, o);
+  gg::Representation kind =
+      q.fixed ? q.fixed->representation : o.representation;
+  if (kind == gg::Representation::adaptive) {
+    kind = resolve_representation(t, g, dg);
+  }
+  gg::EngineOptions eo = q.fixed ? o.engine : engine_opts(o);
+  gg::VariantSelector selector;
+  if (q.fixed) {
+    gg::Variant v = *q.fixed;
+    v.representation = kind;
+    selector = gg::fixed_variant(v);
+  } else {
+    selector = make_adaptive_selector(t, eo.monitor_interval, algo,
+                                      o.direction, kind);
+  }
+  if (kind == gg::Representation::plain) {
+    return engine(Layout{dg, g, nullptr, std::move(selector), eo});
+  }
+  std::optional<graph::RelabeledGraph> scratch;
+  const graph::RelabeledGraph& view =
+      q.rel ? *q.rel : scratch.emplace(graph::relabel_by_degree(g));
+  // The caller's CSC is of the plain layout; pull iterations transpose the
+  // relabelled CSR themselves.
+  eo.csc = nullptr;
+  gg::DeviceGraph* rdg = nullptr;
+  if (dg != nullptr) {
+    simt::StreamGuard sguard(dev, eo.stream);
+    rdg = &dg->ensure_rep_resident(dev, view, with_weights);
+  }
+  return engine(Layout{rdg, view.csr, &view, std::move(selector), eo});
+}
+
+}  // namespace
+
+gg::GpuBfsResult run_bfs(simt::Device& dev, gg::DeviceGraph* dg,
+                         const graph::Csr& g, graph::NodeId source,
+                         const Query& q) {
+  AGG_CHECK(source < g.num_nodes);
+  return run_in_layout(
+      dev, dg, g, q, "bfs", /*with_weights=*/false, [&](const Layout& l) {
+        const graph::NodeId s = l.to_layout(source);
+        gg::GpuBfsResult r =
+            l.dg ? gg::run_bfs(dev, *l.dg, l.csr, s, l.selector, l.eo)
+                 : gg::run_bfs(dev, l.csr, s, l.selector, l.eo);
+        if (l.view) to_original(r.level, *l.view);
+        return r;
+      });
+}
+
+gg::GpuSsspResult run_sssp(simt::Device& dev, gg::DeviceGraph* dg,
+                           const graph::Csr& g, graph::NodeId source,
+                           const Query& q) {
+  AGG_CHECK(source < g.num_nodes);
+  return run_in_layout(
+      dev, dg, g, q, "sssp", /*with_weights=*/true, [&](const Layout& l) {
+        const graph::NodeId s = l.to_layout(source);
+        gg::GpuSsspResult r =
+            l.dg ? gg::run_sssp(dev, *l.dg, l.csr, s, l.selector, l.eo)
+                 : gg::run_sssp(dev, l.csr, s, l.selector, l.eo);
+        if (l.view) to_original(r.dist, *l.view);
+        return r;
+      });
+}
+
+gg::GpuCcResult run_cc(simt::Device& dev, gg::DeviceGraph* dg,
+                       const graph::Csr& g, const Query& q) {
+  return run_in_layout(
+      dev, dg, g, q, "cc", /*with_weights=*/false, [&](const Layout& l) {
+        gg::GpuCcResult r = l.dg ? gg::run_cc(dev, *l.dg, l.csr, l.selector, l.eo)
+                                 : gg::run_cc(dev, l.csr, l.selector, l.eo);
+        if (l.view) canonicalize_cc(r, *l.view);
+        return r;
+      });
 }
 
 gg::VariantSelector make_adaptive_selector(const Thresholds& thresholds) {
@@ -184,28 +241,7 @@ gg::VariantSelector make_adaptive_selector(const Thresholds& thresholds,
     } else {
       v.direction = direction;
     }
-    if (representation == gg::Representation::adaptive &&
-        (in.rel_available || in.bin_available)) {
-      // Representation controller: the static preference over the logical
-      // graph's topology, amortization-gated against what remains of the
-      // traversal (in.representation round-trips through the engine like
-      // the direction state).
-      const gg::Representation want = decide_representation(
-          thresholds, in.num_nodes, in.avg_outdegree, in.outdeg_stddev,
-          in.max_outdegree);
-      const bool resident =
-          want == gg::Representation::relabelled   ? in.rel_resident
-          : want == gg::Representation::binned     ? in.bin_resident
-                                                   : true;
-      v.representation = decide_representation_step(
-          thresholds, in.representation, resident, in.ws_size,
-          in.frontier_edges, in.unexplored_edges, in.num_edges, in.num_nodes,
-          in.avg_outdegree, in.outdeg_stddev, in.max_outdegree);
-    } else if (representation != gg::Representation::adaptive) {
-      v.representation = representation;
-    } else {
-      v.representation = in.representation;
-    }
+    v.representation = representation;
     // Canonicalize before tracing so the logged variant is what executes.
     v = gg::normalize_direction(v);
     if (trace::active()) {
@@ -217,75 +253,17 @@ gg::VariantSelector make_adaptive_selector(const Thresholds& thresholds,
 
 gg::GpuBfsResult adaptive_bfs(simt::Device& dev, const graph::Csr& g,
                               graph::NodeId source, const AdaptiveOptions& opts) {
-  const Thresholds t = effective_thresholds(dev, opts);
-  gg::EngineOptions eo = engine_opts(opts);
-  gg::RepSet rs;
-  if (opts.representation != gg::Representation::plain) {
-    // One-shot adaptive starts plain — the conversion is unpaid until the
-    // in-engine controller decides the remaining edge mass amortizes it. A
-    // fixed alternate layout starts directly in it (the engine builds the
-    // view itself when rs carries no cached ones).
-    if (eo.reps != nullptr) rs = *eo.reps;
-    rs.initial = opts.representation == gg::Representation::adaptive
-                     ? gg::Representation::plain
-                     : opts.representation;
-    eo.reps = &rs;
-  }
-  return gg::run_bfs(dev, g, source,
-                     make_adaptive_selector(t, eo.monitor_interval, "bfs",
-                                            opts.direction, opts.representation),
-                     eo);
+  return run_bfs(dev, nullptr, g, source, adaptive_query(opts));
 }
 
 gg::GpuSsspResult adaptive_sssp(simt::Device& dev, const graph::Csr& g,
                                 graph::NodeId source, const AdaptiveOptions& opts) {
-  const Thresholds t = effective_thresholds(dev, opts);
-  gg::EngineOptions eo = engine_opts(opts);
-  RepResolution rep;
-  resolve_representation(t, opts, g, nullptr, rep);
-  if (rep.kind == gg::Representation::plain) {
-    return gg::run_sssp(
-        dev, g, source,
-        make_adaptive_selector(t, eo.monitor_interval, "sssp", opts.direction),
-        eo);
-  }
-  // SSSP has no in-engine rep controller: run the whole traversal in the
-  // resolved layout and map distances back. The cached CSC (if any) is of
-  // the plain layout, so pull iterations rebuild their own transpose.
-  eo.csc = nullptr;
-  eo.reps = nullptr;
-  const graph::RelabeledGraph& view = rep.view();
-  gg::GpuSsspResult r = gg::run_sssp(
-      dev, view.csr, view.new_id[source],
-      make_adaptive_selector(t, eo.monitor_interval, "sssp", opts.direction,
-                             rep.kind),
-      eo);
-  rep_payload_to_original(r.dist, view);
-  return r;
+  return run_sssp(dev, nullptr, g, source, adaptive_query(opts));
 }
 
 gg::GpuCcResult adaptive_cc(simt::Device& dev, const graph::Csr& g,
                             const AdaptiveOptions& opts) {
-  const Thresholds t = effective_thresholds(dev, opts);
-  gg::EngineOptions eo = engine_opts(opts);
-  RepResolution rep;
-  resolve_representation(t, opts, g, nullptr, rep);
-  if (rep.kind == gg::Representation::plain) {
-    return gg::run_cc(
-        dev, g,
-        make_adaptive_selector(t, eo.monitor_interval, "cc", opts.direction),
-        eo);
-  }
-  eo.csc = nullptr;
-  eo.reps = nullptr;
-  const graph::RelabeledGraph& view = rep.view();
-  gg::GpuCcResult r = gg::run_cc(
-      dev, view.csr,
-      make_adaptive_selector(t, eo.monitor_interval, "cc", opts.direction,
-                             rep.kind),
-      eo);
-  rep_canonicalize_cc(r, view);
-  return r;
+  return run_cc(dev, nullptr, g, adaptive_query(opts));
 }
 
 gg::GpuMstResult adaptive_mst(simt::Device& dev, const graph::Csr& g,
@@ -311,93 +289,18 @@ gg::GpuPageRankResult adaptive_pagerank(simt::Device& dev, const graph::Csr& g,
 gg::GpuBfsResult adaptive_bfs(simt::Device& dev, gg::DeviceGraph& dg,
                               const graph::Csr& g, graph::NodeId source,
                               const AdaptiveOptions& opts) {
-  const Thresholds t = effective_thresholds(dev, opts);
-  gg::EngineOptions eo = engine_opts(opts);
-  gg::RepSet rs;
-  if (opts.representation != gg::Representation::plain) {
-    if (eo.reps != nullptr) rs = *eo.reps;
-    if (opts.representation != gg::Representation::adaptive) {
-      rs.initial = opts.representation;
-    } else {
-      // Resident adaptive: the upload-time decision may start the traversal
-      // directly in the preferred layout, but only when that layout is
-      // already device-resident (a previous query paid the conversion) —
-      // otherwise start plain and let the controller amortization-check it.
-      const gg::Representation want = decide_representation(
-          t, g.num_nodes, dg.avg_outdegree, dg.outdeg_stddev,
-          max_outdegree_of(g));
-      rs.initial = want != gg::Representation::plain &&
-                           dg.rep_resident(want, /*with_weights=*/false)
-                       ? want
-                       : gg::Representation::plain;
-    }
-    eo.reps = &rs;
-  }
-  return gg::run_bfs(dev, dg, g, source,
-                     make_adaptive_selector(t, eo.monitor_interval, "bfs",
-                                            opts.direction, opts.representation),
-                     eo);
+  return run_bfs(dev, &dg, g, source, adaptive_query(opts));
 }
 
 gg::GpuSsspResult adaptive_sssp(simt::Device& dev, gg::DeviceGraph& dg,
                                 const graph::Csr& g, graph::NodeId source,
                                 const AdaptiveOptions& opts) {
-  const Thresholds t = effective_thresholds(dev, opts);
-  gg::EngineOptions eo = engine_opts(opts);
-  RepResolution rep;
-  resolve_representation(t, opts, g, &dg, rep);
-  if (rep.kind == gg::Representation::plain) {
-    return gg::run_sssp(
-        dev, dg, g, source,
-        make_adaptive_selector(t, eo.monitor_interval, "sssp", opts.direction),
-        eo);
-  }
-  eo.csc = nullptr;
-  eo.reps = nullptr;
-  const graph::RelabeledGraph& view = rep.view();
-  gg::DeviceGraph* rdg = nullptr;
-  {
-    // The conversion upload bills on the traversal's stream, like the
-    // lazy CSC upload inside the engines.
-    simt::StreamGuard sguard(dev, eo.stream);
-    rdg = &dg.ensure_rep_resident(dev, rep.kind, view, /*with_weights=*/true);
-  }
-  gg::GpuSsspResult r = gg::run_sssp(
-      dev, *rdg, view.csr, view.new_id[source],
-      make_adaptive_selector(t, eo.monitor_interval, "sssp", opts.direction,
-                             rep.kind),
-      eo);
-  rep_payload_to_original(r.dist, view);
-  return r;
+  return run_sssp(dev, &dg, g, source, adaptive_query(opts));
 }
 
 gg::GpuCcResult adaptive_cc(simt::Device& dev, gg::DeviceGraph& dg,
                             const graph::Csr& g, const AdaptiveOptions& opts) {
-  const Thresholds t = effective_thresholds(dev, opts);
-  gg::EngineOptions eo = engine_opts(opts);
-  RepResolution rep;
-  resolve_representation(t, opts, g, &dg, rep);
-  if (rep.kind == gg::Representation::plain) {
-    return gg::run_cc(
-        dev, dg, g,
-        make_adaptive_selector(t, eo.monitor_interval, "cc", opts.direction),
-        eo);
-  }
-  eo.csc = nullptr;
-  eo.reps = nullptr;
-  const graph::RelabeledGraph& view = rep.view();
-  gg::DeviceGraph* rdg = nullptr;
-  {
-    simt::StreamGuard sguard(dev, eo.stream);
-    rdg = &dg.ensure_rep_resident(dev, rep.kind, view, /*with_weights=*/false);
-  }
-  gg::GpuCcResult r = gg::run_cc(
-      dev, *rdg, view.csr,
-      make_adaptive_selector(t, eo.monitor_interval, "cc", opts.direction,
-                             rep.kind),
-      eo);
-  rep_canonicalize_cc(r, view);
-  return r;
+  return run_cc(dev, &dg, g, adaptive_query(opts));
 }
 
 gg::GpuPageRankResult adaptive_pagerank(simt::Device& dev, gg::DeviceGraph& dg,

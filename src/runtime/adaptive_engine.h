@@ -1,9 +1,13 @@
 // The adaptive runtime (paper Sec. VI): couples the graph inspector and the
 // decision maker to the traversal engines, re-selecting the implementation
 // among the four unordered variants at (sampled) decision points during the
-// traversal. Representation switches cost nothing extra because every
-// iteration regenerates the working set from the shared update vector.
+// traversal. Variant switches cost nothing extra because every iteration
+// regenerates the working set from the shared update vector. The graph
+// layout is the exception: it is chosen once, at query start (run_bfs /
+// run_sssp / run_cc below).
 #pragma once
+
+#include <optional>
 
 #include "gpu_graph/bfs_engine.h"
 #include "gpu_graph/bfs_multi_engine.h"
@@ -26,52 +30,71 @@ struct AdaptiveOptions {
   //  * push     — the paper's scatter formulation (default; unchanged);
   //  * pull     — force the gather (CSC) formulation every iteration;
   //  * adaptive — direction-optimizing: the controller flips push->pull when
-  //    frontier_edges > do_alpha * unexplored_edges and back to push when
-  //    the frontier shrinks below do_beta * num_nodes (Beamer hysteresis,
-  //    knobs on `thresholds`). MST, PageRank and the fused MS-BFS path have
-  //    no gather formulation and always run push.
+  //    frontier_edges > do_alpha * (unexplored_edges + num_nodes) and back
+  //    to push when the frontier drains below
+  //    do_beta * (unexplored_edges + num_nodes) (Beamer hysteresis over the
+  //    gather volume, see decide_direction; knobs on `thresholds`). MST,
+  //    PageRank and the fused MS-BFS path have no gather formulation and
+  //    always run push.
   gg::Direction direction = gg::Direction::push;
-  // Graph representation for the traversal (DESIGN.md "Representation
-  // adaptivity", the 5th adaptive dimension):
+  // Graph layout for BFS/SSSP/CC (DESIGN.md "Representation adaptivity",
+  // the 5th adaptive dimension), chosen once at query start and kept for
+  // the whole traversal:
   //  * plain      — the CSR as given (default; unchanged behavior);
   //  * relabelled — degree-relabelled CSR (graph::relabel_by_degree);
-  //  * binned     — warp-aligned degree-bucketed CSR (graph::build_binned);
-  //  * adaptive   — the upload-time cost function (decide_representation)
-  //    picks the layout; for BFS the per-iteration controller may also
-  //    switch layouts mid-run, amortization-checked against the remaining
-  //    edge mass. Payloads are always mapped back to original ids before
-  //    they leave the engine layer. SSSP/CC resolve `adaptive` once at
-  //    query start (the API layer's job); MST, PageRank and the fused
-  //    MS-BFS path always run plain (their results are not invariant under
-  //    renumbering: FP summation order / in-place contraction).
+  //  * adaptive   — decide_representation picks one of the two.
+  // Payloads are mapped back to original ids before they leave the runtime.
+  // MST, PageRank and the fused MS-BFS path always run plain (their results
+  // are not invariant under renumbering: FP summation order / in-place
+  // contraction).
   gg::Representation representation = gg::Representation::plain;
   gg::EngineOptions engine;            // tpb knobs (monitor_interval is set here)
 };
 
-// Wraps the decision maker as an engine selector. The three-argument form
+// Wraps the decision maker as an engine selector. The longer form
 // additionally publishes a trace::DecisionEvent at every decision point
 // (inputs, thresholds, chosen variant, whether the running variant switched)
 // when tracing is active; `interval` is the sampling rate R recorded in the
-// event, `algo` labels the trace stream. Selector copies share the
-// prev-variant state, so the switch flag stays correct however the engine
-// stores the std::function.
+// event, `algo` labels the trace stream, and `representation` (the layout
+// resolved at query start) is stamped on every chosen variant. Selector
+// copies share the prev-variant state, so the switch flag stays correct
+// however the engine stores the std::function.
 gg::VariantSelector make_adaptive_selector(const Thresholds& thresholds);
-
-// Id-space mapping helpers for callers that run an engine directly on an
-// alternate-representation CSR (fixed _REL/_BIN policies): payloads must be
-// mapped back to original ids before leaving the engine layer.
-// rep_payload_to_original: payload_orig[v] = payload_slot[new_id[v]].
-void rep_payload_to_original(std::vector<std::uint32_t>& payload,
-                             const graph::RelabeledGraph& view);
-// CC labels are "smallest id in the component" in the running id space;
-// canonicalize to smallest ORIGINAL id and recount over original nodes
-// (binned pad slots drop out).
-void rep_canonicalize_cc(gg::GpuCcResult& r, const graph::RelabeledGraph& view);
 gg::VariantSelector make_adaptive_selector(
     const Thresholds& thresholds, std::uint32_t interval, const char* algo,
     gg::Direction direction = gg::Direction::push,
     gg::Representation representation = gg::Representation::plain);
 
+// One BFS/SSSP/CC query through the layout-aware entry points below.
+// `fixed` set runs that variant every iteration (no decision points); unset
+// runs the adaptive selector over `options`. The layout is the fixed
+// variant's representation, else options.representation; `adaptive`
+// resolves once, at query start, through decide_representation.
+struct Query {
+  std::optional<gg::Variant> fixed;
+  AdaptiveOptions options;
+  // The caller's cached relabelled view of the graph the query runs on
+  // (adaptive::Graph keeps one); null = build one when the layout needs it.
+  const graph::RelabeledGraph* rel = nullptr;
+};
+
+// The one place layouts are handled: resolve the layout, run the engine on
+// it, map the payload back to original ids (CC labels re-canonicalized to
+// the smallest original id). `dg` null: one-shot — the engine uploads the
+// CSR of the resolved layout only, charged to the query. Otherwise `dg`
+// holds `g` resident on `dev`, and a relabelled run traverses the nested
+// resident (DeviceGraph::ensure_rep_resident, billed on the query's
+// stream), which stays pinned for later queries.
+gg::GpuBfsResult run_bfs(simt::Device& dev, gg::DeviceGraph* dg,
+                         const graph::Csr& g, graph::NodeId source,
+                         const Query& q);
+gg::GpuSsspResult run_sssp(simt::Device& dev, gg::DeviceGraph* dg,
+                           const graph::Csr& g, graph::NodeId source,
+                           const Query& q);
+gg::GpuCcResult run_cc(simt::Device& dev, gg::DeviceGraph* dg,
+                       const graph::Csr& g, const Query& q);
+
+// Adaptive-policy shorthands for run_bfs/run_sssp/run_cc.
 gg::GpuBfsResult adaptive_bfs(simt::Device& dev, const graph::Csr& g,
                               graph::NodeId source, const AdaptiveOptions& opts = {});
 

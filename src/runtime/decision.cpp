@@ -60,36 +60,12 @@ gg::Representation decide_representation(const Thresholds& t,
                                          double avg_outdegree,
                                          double outdeg_stddev,
                                          std::uint32_t max_outdegree) {
-  if (num_nodes < t.rep_min_nodes || avg_outdegree <= 0.0) {
+  if (num_nodes < t.rep_min_nodes || avg_outdegree <= 0.0 ||
+      outdeg_stddev / avg_outdegree <= t.rep_cv ||
+      static_cast<double>(max_outdegree) / avg_outdegree < t.rep_hub) {
     return gg::Representation::plain;
   }
-  const double cv = outdeg_stddev / avg_outdegree;
-  if (cv <= t.rep_cv) return gg::Representation::plain;
-  const double hub_ratio = static_cast<double>(max_outdegree) / avg_outdegree;
-  return hub_ratio >= t.rep_hub ? gg::Representation::relabelled
-                                : gg::Representation::binned;
-}
-
-gg::Representation decide_representation_step(
-    const Thresholds& t, gg::Representation current, bool target_resident,
-    std::uint64_t ws_size, std::uint64_t frontier_edges,
-    std::uint64_t unexplored_edges, std::uint64_t num_edges,
-    std::uint32_t num_nodes, double avg_outdegree, double outdeg_stddev,
-    std::uint32_t max_outdegree) {
-  const gg::Representation want = decide_representation(
-      t, num_nodes, avg_outdegree, outdeg_stddev, max_outdegree);
-  if (want == current) return current;
-  // Layout only matters once the working set saturates the device; a
-  // sub-T2 frontier runs B_QU where per-warp divergence is irrelevant.
-  if (static_cast<double>(ws_size) < t.t2_ws_size) return current;
-  // Amortization: the conversion (permutation build + copy-engine upload +
-  // payload migration) must be paid back by the traversal that remains.
-  const double remaining = static_cast<double>(frontier_edges) +
-                           static_cast<double>(unexplored_edges);
-  const double fraction =
-      target_resident ? t.rep_switch_fraction : t.rep_upload_fraction;
-  if (remaining < fraction * static_cast<double>(num_edges)) return current;
-  return want;
+  return gg::Representation::relabelled;
 }
 
 bool choose_cpu_fallback(const FallbackInput& in) {

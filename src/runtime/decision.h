@@ -62,26 +62,17 @@ struct Thresholds {
   double do_beta = 0.05;
 
   // Representation thresholds (the 5th adaptive dimension; DESIGN.md
-  // "Representation adaptivity"). The static preference is a pure function
-  // of the inspector's topology stats:
-  //   - degree CV (stddev/avg) <= rep_cv, or fewer than rep_min_nodes
-  //     nodes: plain CSR — uniform rows have nothing to rebalance and a
-  //     conversion of a small graph never amortizes;
-  //   - CV above rep_cv with an extreme hub ratio (max/avg >= rep_hub):
-  //     degree-relabelled CSR — packing the hubs into a few warps is the
-  //     only way to keep them from serializing every warp they land in;
-  //   - CV above rep_cv otherwise: binned CSR — warp-aligned degree
-  //     buckets remove the divergence while keeping within-bucket original
-  //     order (neighbor-gather locality the full sort destroys).
-  // A mid-run switch additionally needs the remaining edge mass to cover
-  // rep_switch_fraction of m (rep_upload_fraction when the target layout is
-  // not yet device-resident, since the copy-engine conversion bill is paid
-  // first) — the amortization check of Kusum et al.
+  // "Representation adaptivity"). The layout is chosen once, at query
+  // start, from the inspector's whole-graph topology stats: degree-
+  // relabelled CSR when the graph has at least rep_min_nodes nodes, a
+  // degree CV (stddev/avg) above rep_cv and an extreme hub ratio
+  // (max/avg >= rep_hub) — packing the hubs into a few warps is the only way
+  // to keep them from serializing every warp they land in; plain CSR
+  // otherwise (uniform rows have nothing to rebalance, and the conversion
+  // of a small graph never pays back).
   double rep_cv = 1.0;
   double rep_hub = 16.0;
   std::uint32_t rep_min_nodes = 4096;
-  double rep_switch_fraction = 0.25;
-  double rep_upload_fraction = 0.5;
 
   // Derives T1/T2 from the device per the paper's rules; keeps the given
   // T3 fraction (and the defaults for the direction knobs).
@@ -103,31 +94,15 @@ gg::Direction decide_direction(const Thresholds& t, gg::Direction current,
                                std::uint64_t unexplored_edges,
                                std::uint32_t num_nodes);
 
-// Static representation preference for a graph (the upload-time decision):
+// Query-start layout choice for a graph (the rule on Thresholds above):
 // pure over the inspector's whole-graph topology stats, so it replays
-// deterministically and can be asserted in tests. Never returns `adaptive`.
+// deterministically and can be asserted in tests. Returns plain or
+// relabelled, never `adaptive`.
 gg::Representation decide_representation(const Thresholds& t,
                                          std::uint32_t num_nodes,
                                          double avg_outdegree,
                                          double outdeg_stddev,
                                          std::uint32_t max_outdegree);
-
-// Per-iteration representation controller step (mirrors decide_direction):
-// given the layout the traversal currently runs in, returns the layout for
-// the next iteration. The static preference above never changes mid-run
-// (its inputs are whole-graph), so this reduces to an amortization gate on
-// the one candidate switch: enough working-set parallelism for layout to
-// matter (ws_size >= T2) and enough remaining edge mass
-// (frontier + unexplored >= fraction * m) to pay the conversion back —
-// which also means a traversal switches at most once, and thrash is
-// structurally impossible. Pure function; the selector threads the returned
-// value back in as `current`.
-gg::Representation decide_representation_step(
-    const Thresholds& t, gg::Representation current, bool target_resident,
-    std::uint64_t ws_size, std::uint64_t frontier_edges,
-    std::uint64_t unexplored_edges, std::uint64_t num_edges,
-    std::uint32_t num_nodes, double avg_outdegree, double outdeg_stddev,
-    std::uint32_t max_outdegree);
 
 // CPU-fallback decision for the serving layer: answer a query with the
 // serial oracle instead of launching on the device. Complements the variant

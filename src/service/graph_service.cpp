@@ -956,72 +956,20 @@ void GraphService::run_device_query(const PendingQuery& q, GraphEntry& entry,
 
   switch (q.req.algo) {
     case Algo::bfs: {
+      gg::GpuBfsResult gr =
+          rt::run_bfs(dev, &rep.dg, g.csr(), q.req.source,
+                      adaptive::detail::runtime_query(g, policy));
       adaptive::BfsResult r;
-      gg::GpuBfsResult gr;
-      gg::RepSet rs;
-      if (fixed) {
-        gg::EngineOptions eo = policy.options.engine;
-        const gg::Representation rp =
-            gg::normalize_representation(policy.variant).representation;
-        if (rp != gg::Representation::plain) {
-          // Alternate layouts reuse the Graph's cached host views; the
-          // device copies nest in the replica and stay resident.
-          rs.rel = &g.relabelled_view();
-          rs.bin = &g.binned_view();
-          rs.initial = rp;
-          eo.reps = &rs;
-        }
-        gr = gg::run_bfs(dev, rep.dg, g.csr(), q.req.source,
-                         gg::fixed_variant(policy.variant), eo);
-      } else {
-        rt::AdaptiveOptions ao = policy.options;
-        if (policy.wants_rep()) {
-          rs.rel = &g.relabelled_view();
-          rs.bin = &g.binned_view();
-          ao.engine.reps = &rs;
-        }
-        gr = rt::adaptive_bfs(dev, rep.dg, g.csr(), q.req.source, ao);
-      }
       r.level = std::move(gr.level);
       r.metrics = std::move(gr.metrics);
       out.payload = std::move(r);
       break;
     }
     case Algo::sssp: {
+      gg::GpuSsspResult gr =
+          rt::run_sssp(dev, &rep.dg, g.csr(), q.req.source,
+                       adaptive::detail::runtime_query(g, policy));
       adaptive::SsspResult r;
-      gg::GpuSsspResult gr;
-      gg::RepSet rs;
-      if (fixed) {
-        const gg::Representation rp =
-            gg::normalize_representation(policy.variant).representation;
-        if (rp == gg::Representation::plain) {
-          gr = gg::run_sssp(dev, rep.dg, g.csr(), q.req.source,
-                            gg::fixed_variant(policy.variant),
-                            policy.options.engine);
-        } else {
-          const graph::RelabeledGraph& view =
-              rp == gg::Representation::relabelled ? g.relabelled_view()
-                                                   : g.binned_view();
-          gg::DeviceGraph* rdg = nullptr;
-          {
-            simt::StreamGuard sguard(dev, stream);
-            rdg = &rep.dg.ensure_rep_resident(dev, rp, view,
-                                              /*with_weights=*/true);
-          }
-          gr = gg::run_sssp(dev, *rdg, view.csr, view.new_id[q.req.source],
-                            gg::fixed_variant(policy.variant),
-                            policy.options.engine);
-          rt::rep_payload_to_original(gr.dist, view);
-        }
-      } else {
-        rt::AdaptiveOptions ao = policy.options;
-        if (policy.wants_rep()) {
-          rs.rel = &g.relabelled_view();
-          rs.bin = &g.binned_view();
-          ao.engine.reps = &rs;
-        }
-        gr = rt::adaptive_sssp(dev, rep.dg, g.csr(), q.req.source, ao);
-      }
       r.dist = std::move(gr.dist);
       r.metrics = std::move(gr.metrics);
       out.payload = std::move(r);
@@ -1045,39 +993,10 @@ void GraphService::run_device_query(const PendingQuery& q, GraphEntry& entry,
         }
         dg = &*rep.sym_dg;
       }
+      gg::GpuCcResult gr =
+          rt::run_cc(dev, dg, *csr,
+                     adaptive::detail::runtime_query(g, policy, needs_sym));
       adaptive::CcResult r;
-      gg::GpuCcResult gr;
-      gg::RepSet rs;
-      if (fixed) {
-        const gg::Representation rp =
-            gg::normalize_representation(policy.variant).representation;
-        if (rp == gg::Representation::plain) {
-          gr = gg::run_cc(dev, *dg, *csr, gg::fixed_variant(policy.variant),
-                          policy.options.engine);
-        } else {
-          const graph::RelabeledGraph& view =
-              rp == gg::Representation::relabelled ? g.relabelled_view(needs_sym)
-                                                   : g.binned_view(needs_sym);
-          gg::DeviceGraph* rdg = nullptr;
-          {
-            simt::StreamGuard sguard(dev, stream);
-            rdg = &dg->ensure_rep_resident(dev, rp, view,
-                                           /*with_weights=*/false);
-          }
-          gr = gg::run_cc(dev, *rdg, view.csr,
-                          gg::fixed_variant(policy.variant),
-                          policy.options.engine);
-          rt::rep_canonicalize_cc(gr, view);
-        }
-      } else {
-        rt::AdaptiveOptions ao = policy.options;
-        if (policy.wants_rep()) {
-          rs.rel = &g.relabelled_view(needs_sym);
-          rs.bin = &g.binned_view(needs_sym);
-          ao.engine.reps = &rs;
-        }
-        gr = rt::adaptive_cc(dev, *dg, *csr, ao);
-      }
       r.component = std::move(gr.component);
       r.num_components = gr.num_components;
       r.metrics = std::move(gr.metrics);

@@ -97,7 +97,7 @@ std::uint64_t policy_signature(const adaptive::Policy& policy) {
   // direction, the whole push<->pull trajectory): push/pull/adaptive answers
   // must never alias even though the payloads agree bit-for-bit (metrics and
   // modeled costs differ). The graph representation is the same story on
-  // the layout axis: plain/relabelled/binned/adaptive runs traverse
+  // the layout axis: plain/relabelled/adaptive runs traverse
   // different physical CSRs at different modeled costs.
   h = combine(h, static_cast<std::uint64_t>(o.direction));
   h = combine(h, static_cast<std::uint64_t>(o.representation));
@@ -111,8 +111,6 @@ std::uint64_t policy_signature(const adaptive::Policy& policy) {
   h = combine(h, double_bits(o.thresholds.rep_cv));
   h = combine(h, double_bits(o.thresholds.rep_hub));
   h = combine(h, o.thresholds.rep_min_nodes);
-  h = combine(h, double_bits(o.thresholds.rep_switch_fraction));
-  h = combine(h, double_bits(o.thresholds.rep_upload_fraction));
   h = combine(h, o.monitor_interval);
   // Engine knobs that shape the adaptive trajectory; the stream is a
   // placement artifact and stays out of the signature.

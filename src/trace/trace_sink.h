@@ -106,8 +106,8 @@ struct DecisionEvent {
   // inputs and knobs it saw. direction is "push" even for runs without the
   // controller (the scatter formulation is the default).
   const char* direction = "push";
-  // Representation chosen for the next iteration (5th adaptive dimension):
-  // "plain" even for runs without the representation controller.
+  // Layout the traversal runs in (5th adaptive dimension, chosen once at
+  // query start): "plain" or "relabelled".
   const char* representation = "plain";
   std::uint64_t frontier_edges = 0;
   std::uint64_t unexplored_edges = 0;

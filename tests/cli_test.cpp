@@ -196,4 +196,13 @@ TEST_F(CliTest, BadTraceFormatFails) {
   EXPECT_NE(out.find("unknown --trace-format"), std::string::npos);
 }
 
+TEST_F(CliTest, UnknownRepresentationFails) {
+  const auto g = path("g.agg");
+  ASSERT_EQ(run("generate er --nodes=500 --out=" + g).first, 0);
+  EXPECT_EQ(run("bfs " + g + " --representation=relabelled").first, 0);
+  const auto [rc, out] = run("bfs " + g + " --representation=binned");
+  EXPECT_EQ(rc, 2);
+  EXPECT_NE(out.find("unknown --representation"), std::string::npos);
+}
+
 }  // namespace

@@ -1,11 +1,12 @@
-// Representation axis (5th adaptive dimension): degree-relabelled and
-// padded/binned CSR layouts must be invisible in the answers — byte-identical
-// to the plain-CSR engines and the serial CPU oracles across the whole
-// conformance corpus — while actually changing the execution (the controller
-// must reach alternate layouts on divergence-bound graphs), surviving
-// mutation without reading a stale layout, keying the result cache so runs
-// under different layouts never alias, staying deterministic for any
-// --sim-threads value, and parsing cleanly from user-facing policy strings.
+// Representation axis (5th adaptive dimension): the degree-relabelled CSR
+// layout must be invisible in the answers — byte-identical to the plain-CSR
+// engines and the serial CPU oracles across the whole conformance corpus —
+// while actually changing the execution (adaptive picks it at query start
+// on divergence-bound graphs), costing a one-shot query no extra upload,
+// surviving mutation without reading a stale layout, keying the result
+// cache so runs under different layouts never alias, staying deterministic
+// for any --sim-threads value, and parsing cleanly from user-facing policy
+// strings.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -40,11 +41,12 @@ adaptive::Policy rep_adaptive() {
       gg::Representation::adaptive);
 }
 
-bool ran_alternate_layout(const gg::TraversalMetrics& m) {
-  return std::any_of(m.iterations.begin(), m.iterations.end(),
+bool ran_relabelled_throughout(const gg::TraversalMetrics& m) {
+  return !m.iterations.empty() &&
+         std::all_of(m.iterations.begin(), m.iterations.end(),
                      [](const gg::IterationRecord& it) {
-                       return it.variant.representation !=
-                              gg::Representation::plain;
+                       return it.variant.representation ==
+                              gg::Representation::relabelled;
                      });
 }
 
@@ -69,8 +71,6 @@ TEST(Representation, VariantNamesRoundTripTheRepresentationSuffix) {
   gg::Variant v = gg::parse_variant("U_T_BM");
   v.representation = gg::Representation::relabelled;
   EXPECT_EQ(gg::variant_name(v), "U_T_BM_REL");
-  v.representation = gg::Representation::binned;
-  EXPECT_EQ(gg::variant_name(v), "U_T_BM_BIN");
   v.representation = gg::Representation::adaptive;
   EXPECT_EQ(gg::variant_name(v), "U_T_BM_AREP");
   // Suffixes compose base[_direction][_representation], outermost last.
@@ -81,9 +81,9 @@ TEST(Representation, VariantNamesRoundTripTheRepresentationSuffix) {
   const auto rel = gg::try_parse_variant("U_T_BM_REL");
   ASSERT_TRUE(rel.has_value());
   EXPECT_EQ(rel->representation, gg::Representation::relabelled);
-  const auto both = gg::try_parse_variant("O_B_QU_PULL_BIN");
+  const auto both = gg::try_parse_variant("O_B_QU_PULL_REL");
   ASSERT_TRUE(both.has_value());
-  EXPECT_EQ(both->representation, gg::Representation::binned);
+  EXPECT_EQ(both->representation, gg::Representation::relabelled);
   EXPECT_EQ(both->direction, gg::Direction::pull);
   EXPECT_EQ(both->ordering, gg::Ordering::ordered);
   // The suffix is outermost: direction-after-representation is not a name.
@@ -101,12 +101,8 @@ TEST(Representation, ParsePolicyReturnsTypedErrorsInsteadOfAborting) {
   EXPECT_TRUE(rel.policy.wants_rep());
   EXPECT_FALSE(adaptive::parse_policy("U_T_BM").policy.wants_rep());
 
-  const auto bin = adaptive::parse_policy("U_W_QU_BIN");
-  ASSERT_TRUE(bin.ok());
-  EXPECT_EQ(bin.policy.variant.representation, gg::Representation::binned);
-
-  // _AREP names a trajectory, not a layout: only the adaptive policy can
-  // honor it, so the fixed spelling is a typed error with guidance.
+  // _AREP belongs to the adaptive policy (a fixed variant names its layout
+  // outright), so the fixed spelling is a typed error with guidance.
   const auto fixed_arep = adaptive::parse_policy("U_T_BM_AREP");
   EXPECT_FALSE(fixed_arep.ok());
   EXPECT_EQ(fixed_arep.status, adaptive::Status::error);
@@ -118,7 +114,26 @@ TEST(Representation, ParsePolicyReturnsTypedErrorsInsteadOfAborting) {
   EXPECT_EQ(bogus.code, adaptive::ErrorCode::invalid_argument);
 }
 
-// ---- controller decisions ---------------------------------------------------
+TEST(Representation, BinnedSpellingsAreTypedErrors) {
+  // There is no binned layout: the _BIN suffix and the "binned" spelling
+  // are malformed input, answered with a typed error instead of an abort.
+  for (const char* name : {"U_T_BM_BIN", "U_T_BM_PULL_BIN", "U_W_QU_BIN"}) {
+    EXPECT_FALSE(gg::try_parse_variant(name).has_value()) << name;
+    const auto parsed = adaptive::parse_policy(name);
+    EXPECT_FALSE(parsed.ok()) << name;
+    EXPECT_EQ(parsed.status, adaptive::Status::error) << name;
+    EXPECT_EQ(parsed.code, adaptive::ErrorCode::invalid_argument) << name;
+  }
+  EXPECT_FALSE(gg::try_parse_representation("binned").has_value());
+  EXPECT_FALSE(gg::try_parse_representation("").has_value());
+  for (const gg::Representation r :
+       {gg::Representation::plain, gg::Representation::relabelled,
+        gg::Representation::adaptive}) {
+    EXPECT_EQ(gg::try_parse_representation(gg::representation_name(r)), r);
+  }
+}
+
+// ---- query-start decision --------------------------------------------------
 
 TEST(Representation, StaticPreferenceFollowsTopologyStats) {
   rt::Thresholds t;  // defaults: rep_cv = 1.0, rep_hub = 16, min 4096 nodes
@@ -131,50 +146,17 @@ TEST(Representation, StaticPreferenceFollowsTopologyStats) {
   // Skewed with an extreme hub ratio (max/avg >= rep_hub): relabelled.
   EXPECT_EQ(rt::decide_representation(t, 100000, 4.0, 20.0, 512),
             gg::Representation::relabelled);
-  // Skewed but hub-free (max/avg below rep_hub): binned padding suffices.
+  // Skewed but hub-free (max/avg below rep_hub): plain.
   EXPECT_EQ(rt::decide_representation(t, 100000, 8.0, 24.0, 100),
-            gg::Representation::binned);
-}
-
-TEST(Representation, StepControllerGatesOnAmortization) {
-  rt::Thresholds t;
-  const std::uint32_t n = 100000;
-  const std::uint64_t m = 400000;
-  const double avg = 4.0, sd = 20.0;
-  const std::uint32_t maxd = 512;  // static preference: relabelled
-  // Plenty of remaining edge mass and a resident target: switch.
-  EXPECT_EQ(rt::decide_representation_step(t, gg::Representation::plain, true,
-                                           t.t2_ws_size + 1, m / 2, m / 2, m,
-                                           n, avg, sd, maxd),
-            gg::Representation::relabelled);
-  // Nearly drained traversal: the conversion can't pay back — stay put.
-  EXPECT_EQ(rt::decide_representation_step(t, gg::Representation::plain, true,
-                                           t.t2_ws_size + 1, 100, 100, m, n,
-                                           avg, sd, maxd),
             gg::Representation::plain);
-  // Tiny working set: not enough parallelism for layout to matter.
-  EXPECT_EQ(rt::decide_representation_step(t, gg::Representation::plain, true,
-                                           4, m / 2, m / 2, m, n, avg, sd,
-                                           maxd),
-            gg::Representation::plain);
-  // Non-resident target needs the bigger upload fraction to justify.
-  EXPECT_EQ(rt::decide_representation_step(t, gg::Representation::plain,
-                                           false, t.t2_ws_size + 1,
-                                           m / 4, m / 8, m, n, avg, sd, maxd),
-            gg::Representation::plain);
-  // Once switched, the traversal stays switched (no thrash path back).
-  EXPECT_EQ(rt::decide_representation_step(t, gg::Representation::relabelled,
-                                           true, t.t2_ws_size + 1, 100, 100,
-                                           m, n, avg, sd, maxd),
-            gg::Representation::relabelled);
 }
 
 // ---- differential correctness ----------------------------------------------
 
 TEST(Representation, AllLayoutsMatchTheOracleAcrossTheCorpus) {
   const std::vector<std::pair<const char*, adaptive::Policy>> policies{
+      {"plain", fixed_with(gg::Representation::plain)},
       {"rel", fixed_with(gg::Representation::relabelled)},
-      {"bin", fixed_with(gg::Representation::binned)},
       {"adaptive", rep_adaptive()}};
   for (const auto& gc : conformance_corpus()) {
     if (gc.csr.num_nodes == 0) continue;
@@ -210,9 +192,11 @@ TEST(Representation, AllLayoutsMatchTheOracleAcrossTheCorpus) {
   }
 }
 
-// The controller must actually reach alternate layouts where they pay off —
-// otherwise the differential test above only ever exercises plain.
-TEST(Representation, ControllerReachesAlternateLayoutOnHubHeavyGraphs) {
+// Adaptive must actually pick the relabelled layout where it pays off —
+// otherwise the differential test above only ever exercises plain — and it
+// picks it at query start, so a one-shot BFS runs _REL from its first
+// decision on.
+TEST(Representation, OneShotAdaptiveBfsRunsRelabelledFromTheFirstDecision) {
   adaptive::Graph g = adaptive::Graph::from_csr(hub_graph(16384, 256, 3));
   const graph::NodeId src = graph::suggest_source(g.csr());
 
@@ -220,8 +204,27 @@ TEST(Representation, ControllerReachesAlternateLayoutOnHubHeavyGraphs) {
   const auto out = adaptive::bfs(dev, g, src, rep_adaptive());
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out.level, cpu::bfs(g.csr(), src).level);
-  EXPECT_TRUE(ran_alternate_layout(out.metrics))
-      << "representation controller never left plain on a hub-heavy graph";
+  ASSERT_FALSE(out.metrics.iterations.empty());
+  EXPECT_TRUE(gg::variant_name(out.metrics.iterations.front().variant)
+                  .ends_with("_REL"));
+  EXPECT_TRUE(ran_relabelled_throughout(out.metrics))
+      << "adaptive BFS did not run relabelled throughout on a hub-heavy graph";
+}
+
+// A one-shot relabelled query uploads the relabelled CSR instead of the
+// plain one, never both: the same h2d bytes as the plain query.
+TEST(Representation, OneShotRelabelledBfsUploadsNoPlainCsr) {
+  adaptive::Graph g = adaptive::Graph::from_csr(hub_graph(16384, 256, 3));
+  const graph::NodeId src = graph::suggest_source(g.csr());
+  const auto h2d_bytes = [&](const adaptive::Policy& p) {
+    simt::Device dev;
+    const auto out = adaptive::bfs(dev, g, src, p);
+    EXPECT_TRUE(out.ok());
+    EXPECT_EQ(out.level, cpu::bfs(g.csr(), src).level);
+    return dev.stats().bytes_h2d;
+  };
+  EXPECT_EQ(h2d_bytes(adaptive::Policy::fixed("U_T_BM_REL")),
+            h2d_bytes(adaptive::Policy::fixed("U_T_BM")));
 }
 
 // ---- serving / mutation -----------------------------------------------------
@@ -236,18 +239,16 @@ TEST(Representation, SessionServesAllLayoutsOnResidentGraphs) {
   const auto plain = session.bfs(g, src, fixed_with(gg::Representation::plain));
   const auto rel =
       session.bfs(g, src, fixed_with(gg::Representation::relabelled));
-  const auto bin = session.bfs(g, src, fixed_with(gg::Representation::binned));
   const auto adap = session.bfs(g, src, rep_adaptive());
   ASSERT_TRUE(plain.ok());
   ASSERT_TRUE(rel.ok());
-  ASSERT_TRUE(bin.ok());
   ASSERT_TRUE(adap.ok());
   EXPECT_EQ(rel.level, plain.level);
-  EXPECT_EQ(bin.level, plain.level);
   EXPECT_EQ(adap.level, plain.level);
   EXPECT_EQ(plain.level, cpu::bfs(g.csr(), src).level);
 
-  const auto sp = session.sssp(g, src, fixed_with(gg::Representation::binned));
+  const auto sp =
+      session.sssp(g, src, fixed_with(gg::Representation::relabelled));
   ASSERT_TRUE(sp.ok());
   EXPECT_EQ(sp.dist, cpu::dijkstra(g.csr(), src).dist);
   const auto cc = session.cc(g, fixed_with(gg::Representation::relabelled));
@@ -264,14 +265,12 @@ TEST(Representation, MutationNeverLeavesAStaleAlternateLayoutResident) {
   adaptive::Session session;
   session.register_graph(g);
   const adaptive::Policy rel = fixed_with(gg::Representation::relabelled);
-  const adaptive::Policy bin = fixed_with(gg::Representation::binned);
   const graph::NodeId src = graph::suggest_source(g.csr());
 
-  // Pin the alternate layouts device-resident.
+  // Pin the relabelled layout device-resident.
   ASSERT_TRUE(session.bfs(g, src, rel).ok());
-  ASSERT_TRUE(session.bfs(g, src, bin).ok());
 
-  // Rewire a hub: the relabelled/binned copies on the device are now stale.
+  // Rewire a hub: the relabelled copy on the device is now stale.
   graph::EdgeDelta d;
   const graph::NodeId hub = [&] {
     graph::NodeId best = 0;
@@ -288,7 +287,6 @@ TEST(Representation, MutationNeverLeavesAStaleAlternateLayoutResident) {
 
   const auto want = cpu::bfs(g.csr(), src);
   EXPECT_EQ(session.bfs(g, src, rel).level, want.level);
-  EXPECT_EQ(session.bfs(g, src, bin).level, want.level);
   EXPECT_EQ(session.bfs(g, src, rep_adaptive()).level, want.level);
   session.unregister_graph(g);
 }
@@ -296,21 +294,23 @@ TEST(Representation, MutationNeverLeavesAStaleAlternateLayoutResident) {
 // ---- result cache -----------------------------------------------------------
 
 TEST(Representation, PolicySignatureSeparatesLayouts) {
-  // Plain, relabelled, binned and adaptive answers agree bit-for-bit but
-  // traverse different physical CSRs at different modeled costs: they must
-  // never alias in the cache.
+  // Plain, relabelled and adaptive answers agree bit-for-bit but traverse
+  // different physical CSRs at different modeled costs: they must never
+  // alias in the cache.
   const adaptive::Policy fixed =
       adaptive::Policy::fixed(gg::parse_variant("U_T_BM"));
   const auto sig = [](const adaptive::Policy& p) {
     return svc::policy_signature(p);
   };
   EXPECT_NE(sig(fixed), sig(fixed_with(gg::Representation::relabelled)));
-  EXPECT_NE(sig(fixed), sig(fixed_with(gg::Representation::binned)));
+  EXPECT_NE(sig(fixed), sig(fixed_with(gg::Representation::adaptive)));
   EXPECT_NE(sig(fixed_with(gg::Representation::relabelled)),
-            sig(fixed_with(gg::Representation::binned)));
+            sig(fixed_with(gg::Representation::adaptive)));
 
   const adaptive::Policy adapt = adaptive::Policy::adapt();
   EXPECT_NE(sig(adapt), sig(rep_adaptive()));
+  EXPECT_NE(sig(adapt.with_representation(gg::Representation::relabelled)),
+            sig(rep_adaptive()));
 
   // The layout knobs shape the adaptive trajectory, so they key the entry.
   adaptive::Policy tuned = rep_adaptive();
@@ -321,12 +321,6 @@ TEST(Representation, PolicySignatureSeparatesLayouts) {
   EXPECT_NE(sig(rep_adaptive()), sig(tuned));
   tuned = rep_adaptive();
   tuned.options.thresholds.rep_min_nodes = 128;
-  EXPECT_NE(sig(rep_adaptive()), sig(tuned));
-  tuned = rep_adaptive();
-  tuned.options.thresholds.rep_switch_fraction = 0.75;
-  EXPECT_NE(sig(rep_adaptive()), sig(tuned));
-  tuned = rep_adaptive();
-  tuned.options.thresholds.rep_upload_fraction = 0.9;
   EXPECT_NE(sig(rep_adaptive()), sig(tuned));
 }
 
@@ -354,20 +348,19 @@ RepCapture run_rep_bfs_with_threads(int threads) {
   return cap;
 }
 
-TEST(Representation, ControllerDecisionsAreSimThreadInvariant) {
+TEST(Representation, LayoutDecisionsAreSimThreadInvariant) {
   const RepCapture serial = run_rep_bfs_with_threads(1);
   const RepCapture four = run_rep_bfs_with_threads(4);
   const RepCapture pool = run_rep_bfs_with_threads(0);  // hw concurrency
   EXPECT_EQ(serial.level, four.level);
   EXPECT_EQ(serial.level, pool.level);
-  EXPECT_EQ(serial.variants, four.variants);  // same switch points
+  EXPECT_EQ(serial.variants, four.variants);  // same decisions
   EXPECT_EQ(serial.variants, pool.variants);
   EXPECT_EQ(serial.total_us, four.total_us);  // bit-identical modeled time
   EXPECT_EQ(serial.total_us, pool.total_us);
   EXPECT_TRUE(std::any_of(serial.variants.begin(), serial.variants.end(),
                           [](const std::string& v) {
-                            return v.find("_REL") != std::string::npos ||
-                                   v.find("_BIN") != std::string::npos;
+                            return v.find("_REL") != std::string::npos;
                           }));
 }
 

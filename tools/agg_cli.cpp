@@ -99,21 +99,15 @@ adaptive::Policy policy_from_cli(const agg::Cli& cli) {
   }
   if (cli.has("representation")) {
     const std::string r = cli.get("representation", "plain");
-    if (r == "plain") {
-      policy = policy.with_representation(gg::Representation::plain);
-    } else if (r == "relabelled") {
-      policy = policy.with_representation(gg::Representation::relabelled);
-    } else if (r == "binned") {
-      policy = policy.with_representation(gg::Representation::binned);
-    } else if (r == "adaptive") {
-      policy = policy.with_representation(gg::Representation::adaptive);
-    } else {
+    const std::optional<gg::Representation> rep = gg::try_parse_representation(r);
+    if (!rep) {
       std::fprintf(stderr,
                    "unknown --representation '%s' (expect "
-                   "plain|relabelled|binned|adaptive)\n",
+                   "plain|relabelled|adaptive)\n",
                    r.c_str());
       std::exit(2);
     }
+    policy = policy.with_representation(*rep);
   }
   if (cli.has("do-alpha")) {
     policy.options.thresholds.do_alpha = cli.get_double("do-alpha", 0.5);
@@ -733,10 +727,10 @@ int main(int argc, char** argv) {
         "  agg stats    <graph>\n"
         "  agg bfs      <graph> [--source=N] [--policy=adaptive|cpu|U_T_BM|...]\n"
         "               [--direction=push|pull|adaptive]\n"
-        "               [--representation=plain|relabelled|binned|adaptive]\n"
+        "               [--representation=plain|relabelled|adaptive]\n"
         "  agg sssp     <graph> [--source=N] [--policy=...] [--weights=LO,HI]\n"
         "               [--direction=push|pull|adaptive]\n"
-        "               [--representation=plain|relabelled|binned|adaptive]\n"
+        "               [--representation=plain|relabelled|adaptive]\n"
         "  agg cc       <graph> [--policy=...] [--no-symmetrize]\n"
         "  agg pagerank <graph> [--damping=0.85] [--policy=...] [--top=10]\n"
         "  agg mst      <graph> [--policy=...] [--no-symmetrize]\n"
@@ -784,12 +778,11 @@ int main(int argc, char** argv) {
         "  --do-beta=F           pull->push flip threshold: go push when\n"
         "                        frontier_edges < F * (unexplored_edges + n)\n"
         "                        (default 0.05)\n"
-        "  --representation=R    graph layout for bfs/sssp/cc: plain (CSR as\n"
-        "                        given, default), relabelled (degree-sorted\n"
-        "                        CSR), binned (warp-aligned degree buckets),\n"
-        "                        adaptive (upload-time cost function; for BFS\n"
-        "                        also amortized mid-run switching; pairs with\n"
-        "                        --policy=adaptive)\n");
+        "  --representation=R    graph layout for bfs/sssp/cc, chosen once at\n"
+        "                        query start: plain (CSR as given, default),\n"
+        "                        relabelled (degree-sorted CSR), adaptive\n"
+        "                        (relabelled on large hub-heavy graphs, else\n"
+        "                        plain)\n");
     return cli.has("help") ? 0 : 2;
   }
   if (!setup_tracing(cli)) return 2;
