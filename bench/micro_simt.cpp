@@ -2,10 +2,16 @@
 // tracing throughput, coalescing analysis, sparse-launch accounting, and the
 // reduction primitive. These bound the simulation cost per modeled event and
 // guard against regressions that would make the experiment benches unusable.
+//
+// Rows with a `per_event` / `per_edge` counter report host seconds per
+// recorded warp-trace event / per graph edge (printed with an SI prefix:
+// 12.3n = 12.3 ns).
 #include <benchmark/benchmark.h>
 
 #include <memory>
 
+#include "api/algorithms.h"
+#include "graph/gen/generators.h"
 #include "simt/exec_pool.h"
 #include "simt/launch.h"
 #include "simt/primitives.h"
@@ -238,6 +244,152 @@ void BM_LaunchTraceOverhead(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * threads);
 }
 BENCHMARK(BM_LaunchTraceOverhead)->Args({1 << 14, 0})->Args({1 << 14, 1});
+
+// ---- warp tracer cost per recorded event ----
+//
+// Serial dense launches whose bodies only record events, so host time is
+// the tracer's (plus the fixed per-warp launch loop).
+
+constexpr std::uint64_t kTraceThreads = 1 << 14;
+constexpr std::uint64_t kEventsPerThread = 8;
+
+void set_per_event(benchmark::State& state, std::uint64_t events_per_iter) {
+  state.counters["per_event"] = benchmark::Counter(
+      static_cast<double>(events_per_iter),
+      benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+}
+
+// Lane l of iteration i reads element i*threads + l: one segment per 32 lanes.
+void BM_TraceCoalesced(benchmark::State& state) {
+  simt::Device dev;
+  auto buf = dev.alloc<std::uint32_t>(kTraceThreads * kEventsPerThread, "buf");
+  for (auto _ : state) {
+    simt::launch(dev, "trace.coalesced", simt::GridSpec::dense(kTraceThreads, 256),
+                 [&](simt::ThreadCtx& ctx) {
+                   for (std::uint64_t i = 0; i < kEventsPerThread; ++i) {
+                     benchmark::DoNotOptimize(
+                         ctx.load(buf, i * kTraceThreads + ctx.global_id(), kLoad));
+                   }
+                 });
+  }
+  set_per_event(state, kTraceThreads * kEventsPerThread);
+}
+BENCHMARK(BM_TraceCoalesced);
+
+// Hashed addresses: up to 32 distinct segments per lockstep instruction.
+void BM_TraceScattered(benchmark::State& state) {
+  simt::Device dev;
+  constexpr std::uint64_t kElems = kTraceThreads * 64;
+  auto buf = dev.alloc<std::uint32_t>(kElems, "buf");
+  for (auto _ : state) {
+    simt::launch(dev, "trace.scattered", simt::GridSpec::dense(kTraceThreads, 256),
+                 [&](simt::ThreadCtx& ctx) {
+                   for (std::uint64_t i = 0; i < kEventsPerThread; ++i) {
+                     const std::uint64_t h =
+                         (ctx.global_id() * kEventsPerThread + i) * 2654435761u;
+                     benchmark::DoNotOptimize(ctx.load(buf, h % kElems, kLoad));
+                   }
+                 });
+  }
+  set_per_event(state, kTraceThreads * kEventsPerThread);
+}
+BENCHMARK(BM_TraceScattered);
+
+// Thread-mapped neighbour loops over long adjacency runs: each lane scans its
+// own 1024..3071 consecutive elements (mostly line-buffer hits) and charges
+// one op per neighbour, so a warp walks thousands of lockstep steps.
+void BM_TraceStreaming(benchmark::State& state) {
+  simt::Device dev;
+  constexpr std::uint64_t kThreads = 1024;
+  constexpr std::uint64_t kRun = 3072;
+  auto adj = dev.alloc<std::uint32_t>(kThreads * kRun, "adj");
+  auto degree = [](std::uint64_t t) { return 1024 + t * 797 % 2048; };
+  std::uint64_t events = 0;
+  for (std::uint64_t t = 0; t < kThreads; ++t) events += 2 * degree(t);
+  for (auto _ : state) {
+    simt::launch(dev, "trace.streaming", simt::GridSpec::dense(kThreads, 256),
+                 [&](simt::ThreadCtx& ctx) {
+                   const std::uint64_t t = ctx.global_id();
+                   for (std::uint64_t j = 0; j < degree(t); ++j) {
+                     benchmark::DoNotOptimize(ctx.load(adj, t * kRun + j, kLoad));
+                     ctx.compute(1, kOps);
+                   }
+                 });
+  }
+  set_per_event(state, events);
+}
+BENCHMARK(BM_TraceStreaming);
+
+// Half the atomics hit one hot counter, half spread over per-thread words.
+void BM_TraceAtomics(benchmark::State& state) {
+  simt::Device dev;
+  auto hot = dev.alloc<std::uint32_t>(1, "hot");
+  auto cold = dev.alloc<std::uint32_t>(kTraceThreads * kEventsPerThread, "cold");
+  for (auto _ : state) {
+    simt::launch(dev, "trace.atomics", simt::GridSpec::dense(kTraceThreads, 256),
+                 [&](simt::ThreadCtx& ctx) {
+                   for (std::uint64_t i = 0; i < kEventsPerThread; i += 2) {
+                     ctx.atomic_add(hot, 0, 1u, kAtomic);
+                     ctx.atomic_add(cold, i * kTraceThreads + ctx.global_id(), 1u,
+                                    kAtomic);
+                   }
+                 });
+  }
+  set_per_event(state, kTraceThreads * kEventsPerThread);
+}
+BENCHMARK(BM_TraceAtomics);
+
+// ---- end-to-end algorithms, host time per edge ----
+//
+// Adaptive one-shot BFS / SSSP / CC on a fixed RMAT graph (scale 14, 16
+// arcs per node, seed 1), one simulator thread, fresh Device per query.
+
+const adaptive::Graph& rmat_graph() {
+  static const adaptive::Graph g = [] {
+    graph::gen::RmatParams p;
+    p.scale = 14;
+    p.edges_per_node = 16;
+    p.seed = 1;
+    adaptive::Graph graph = adaptive::Graph::from_csr(graph::gen::rmat(p));
+    graph.set_uniform_weights(1, 1000);
+    return graph;
+  }();
+  return g;
+}
+
+template <typename Query>
+void run_end_to_end(benchmark::State& state, Query&& query) {
+  SimThreadsScope scope(1);
+  const adaptive::Graph& g = rmat_graph();
+  for (auto _ : state) {
+    simt::Device dev;
+    benchmark::DoNotOptimize(query(dev, g));
+  }
+  state.counters["per_edge"] = benchmark::Counter(
+      static_cast<double>(g.num_edges()),
+      benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+}
+
+void BM_EndToEndBfs(benchmark::State& state) {
+  run_end_to_end(state, [](simt::Device& dev, const adaptive::Graph& g) {
+    return adaptive::bfs(dev, g, g.default_source());
+  });
+}
+BENCHMARK(BM_EndToEndBfs)->Unit(benchmark::kMillisecond);
+
+void BM_EndToEndSssp(benchmark::State& state) {
+  run_end_to_end(state, [](simt::Device& dev, const adaptive::Graph& g) {
+    return adaptive::sssp(dev, g, g.default_source());
+  });
+}
+BENCHMARK(BM_EndToEndSssp)->Unit(benchmark::kMillisecond);
+
+void BM_EndToEndCc(benchmark::State& state) {
+  run_end_to_end(state, [](simt::Device& dev, const adaptive::Graph& g) {
+    return adaptive::cc(dev, g);
+  });
+}
+BENCHMARK(BM_EndToEndCc)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

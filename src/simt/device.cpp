@@ -1,12 +1,24 @@
 #include "simt/device.h"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 
 #include "trace/counters.h"
 
 namespace simt {
 
 static_assert(kWarpSize == 32);
+
+const TimingModel& Device::checked(const TimingModel& tm) {
+  const double seg = tm.segment_bytes;
+  AGG_CHECK_MSG(seg >= 4 && seg <= 0x1p62 && seg == std::floor(seg) &&
+                    std::has_single_bit(static_cast<std::uint64_t>(seg)),
+                "TimingModel::segment_bytes must be a power of two >= 4");
+  AGG_CHECK_MSG(tm.stream_refetch_period >= 1,
+                "TimingModel::stream_refetch_period must be >= 1");
+  return tm;
+}
 
 StreamId Device::create_stream(std::string name) {
   const StreamId id = num_streams();

@@ -46,7 +46,7 @@ class Device {
  public:
   explicit Device(const DeviceProps& props = DeviceProps::fermi_c2070(),
                   TimingModel tm = TimingModel::fermi_default())
-      : props_(props), tm_(tm), space_(props.global_mem_bytes) {}
+      : props_(props), tm_(checked(tm)), space_(props.global_mem_bytes) {}
 
   const DeviceProps& props() const { return props_; }
   const TimingModel& timing() const { return tm_; }
@@ -276,6 +276,11 @@ class Device {
     st.ready_us = start + dur_us;
     return start;
   }
+
+  // Returns `tm` after checking the constants the warp tracer relies on:
+  // segment_bytes must be a power of two >= 4 (segment ids are a shift) and
+  // stream_refetch_period >= 1 (a refetch countdown). Aborts otherwise.
+  static const TimingModel& checked(const TimingModel& tm);
 
   // Cold paths of the trace::active() branches above (device.cpp): publish
   // the event to the Tracer and bump the counter registry.

@@ -98,7 +98,7 @@ class ThreadCtx {
   template <typename T>
   T load(const DeviceBuffer<T>& b, std::size_t i, Site site) {
     AGG_DCHECK(i < b.size());
-    trace_->on_global(site, b.addr_of(i), sizeof(T));
+    trace_->on_global(site, b.addr_of(i));
     if constexpr (std::is_arithmetic_v<T>) {
       if (concurrent_) {
         // std::atomic_ref<const T> is ill-formed in C++20; the cell itself is
@@ -113,7 +113,7 @@ class ThreadCtx {
   template <typename T>
   void store(DeviceBuffer<T>& b, std::size_t i, T v, Site site) {
     AGG_DCHECK(i < b.size());
-    trace_->on_global(site, b.addr_of(i), sizeof(T));
+    trace_->on_global(site, b.addr_of(i));
     if constexpr (std::is_arithmetic_v<T>) {
       if (concurrent_) {
         std::atomic_ref<T>(b.host_view()[i]).store(v, std::memory_order_relaxed);

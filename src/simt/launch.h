@@ -173,7 +173,7 @@ KernelStats launch(Device& dev, const char* name, const GridSpec& grid, Body&& b
   // `is_active` decides per-lane whether the body runs. Returns the warp cost.
   auto run_warp = [&](WorkerScratch& ws, bool concurrent, std::uint64_t b,
                       std::uint64_t warp_begin, auto&& is_active, auto&& lane_addr) {
-    ws.trace.begin_warp();
+    ws.trace.begin_warp(ws.tally);
     ThreadCtx ctx(ws.trace, nullptr, b, grid.tpb, grid_blocks, concurrent);
     const std::uint64_t warp_end =
         std::min<std::uint64_t>(warp_begin + kWarpSize, grid.total_threads);
@@ -181,14 +181,13 @@ KernelStats launch(Device& dev, const char* name, const GridSpec& grid, Body&& b
     for (std::uint64_t gid = warp_begin; gid < warp_end; ++gid) {
       ctx.bind_lane(static_cast<std::uint32_t>(gid - block_base));
       if (grid.pred.enabled()) {
-        ws.trace.on_global(kPredicateSite, lane_addr(gid),
-                           std::max<std::uint32_t>(grid.pred.stride, 1));
+        ws.trace.on_global(kPredicateSite, lane_addr(gid));
         ws.trace.on_compute(kPredicateOpsSite,
                             static_cast<std::uint64_t>(grid.pred.ops));
       }
       if (is_active(gid)) body(ctx);
     }
-    return ws.trace.finish_warp(ws.tally);
+    return ws.trace.finish_warp();
   };
 
   ExecPool& pool = ExecPool::instance();
@@ -387,14 +386,14 @@ KernelStats launch_phased(Device& dev, const char* name, std::uint64_t total_thr
           double phase_crit = 0;
           for (std::uint64_t warp_begin = 0; warp_begin < block_threads;
                warp_begin += kWarpSize) {
-            ws.trace.begin_warp();
+            ws.trace.begin_warp(ws.tally);
             const std::uint64_t warp_end =
                 std::min<std::uint64_t>(warp_begin + kWarpSize, block_threads);
             for (std::uint64_t t = warp_begin; t < warp_end; ++t) {
               ctx.bind_lane(static_cast<std::uint32_t>(t));
               body(p, ctx);
             }
-            const WarpCost wc = ws.trace.finish_warp(ws.tally);
+            const WarpCost wc = ws.trace.finish_warp();
             part.issue += wc.issue_cycles;
             phase_crit = std::max(phase_crit, wc.critical_cycles(tm));
             part.totals.add_warp(wc);

@@ -1,6 +1,7 @@
 #include "simt/warp_trace.h"
 
 #include <algorithm>
+#include <bit>
 
 namespace simt {
 
@@ -28,212 +29,92 @@ WarpCost WarpCost::operator*(double k) const {
 }
 
 void AtomicTally::reset() {
-  if (used_ > 0) {
-    std::fill(slots_.begin(), slots_.end(), Slot{});
-    used_ = 0;
-  }
+  for (std::uint32_t i : occupied_) slots_[i] = Slot{};
+  occupied_.clear();
   max_count_ = 0;
   total_ = 0;
 }
 
-void AtomicTally::add(std::uint64_t addr, std::uint64_t count) {
-  if (used_ * 2 >= slots_.size()) grow();
-  // addr 0 is an invalid device address, safe to use as the empty marker.
-  AGG_DCHECK(addr != 0);
-  std::uint64_t h = addr;
-  h ^= h >> 33;
-  h *= 0xff51afd7ed558ccdull;
-  h ^= h >> 33;
-  std::size_t i = h & (slots_.size() - 1);
-  while (slots_[i].key != 0 && slots_[i].key != addr) {
-    i = (i + 1) & (slots_.size() - 1);
-  }
-  if (slots_[i].key == 0) {
-    slots_[i].key = addr;
-    ++used_;
-  }
-  slots_[i].count += count;
-  max_count_ = std::max(max_count_, slots_[i].count);
-  total_ += count;
-}
-
 void AtomicTally::merge_into(AtomicTally& dst) const {
-  if (total_ == 0) return;
-  for (const Slot& s : slots_) {
-    if (s.key != 0) dst.add(s.key, s.count);
-  }
+  for (std::uint32_t i : occupied_) dst.add(slots_[i].key, slots_[i].count);
 }
 
 void AtomicTally::grow() {
-  std::vector<Slot> old = std::move(slots_);
+  // Slot indices are kept as 32 bits; a table that large would be 64 GiB.
+  AGG_CHECK(slots_.size() < (std::size_t{1} << 32));
+  const std::vector<Slot> old = std::move(slots_);
+  const std::vector<std::uint32_t> old_occupied = std::move(occupied_);
   slots_.assign(old.size() * 2, Slot{});
-  used_ = 0;
+  occupied_.clear();
   const std::uint64_t keep_max = max_count_;
   const std::uint64_t keep_total = total_;
-  for (const Slot& s : old) {
-    if (s.key != 0) add(s.key, s.count);
-  }
+  for (std::uint32_t i : old_occupied) add(old[i].key, old[i].count);
   max_count_ = keep_max;
   total_ = keep_total;
 }
 
-void WarpTrace::begin_warp() {
-  for (std::uint8_t id : touched_) {
-    SiteState& s = sites_[id];
+void WarpTrace::rebind(const TimingModel& tm) {
+  tm_ = &tm;
+  const auto seg_bytes = static_cast<std::uint64_t>(tm.segment_bytes);
+  AGG_DCHECK(std::has_single_bit(seg_bytes) && tm.stream_refetch_period >= 1);
+  seg_shift_ = static_cast<unsigned>(std::countr_zero(seg_bytes));
+  refetch_period_ = static_cast<std::uint32_t>(tm.stream_refetch_period);
+}
+
+void WarpTrace::begin_warp(AtomicTally& tally) {
+  for (int t = 0; t < num_touched_; ++t) {
+    SiteState& s = sites_[touched_[t]];
     s.kind = Kind::unused;
-    s.lane_steps.fill(0);
-    s.lane_miss.fill(0);
-    s.lane_hits.fill(0);
-    s.last_seg.fill(0);
-    s.lane_ops.fill(0);
-    s.steps.clear();
-    s.atomic_addrs.clear();
+    s.owner = -1;
+    s.nsteps = 0;
+    s.max_misses = 0;
+    s.max_ops = 0;
+    s.sum = 0;
   }
-  touched_.clear();
+  num_touched_ = 0;
+  tally_ = &tally;
   lane_ = 0;
 }
 
-WarpTrace::SiteState& WarpTrace::touch(Site site, Kind kind) {
-  AGG_DCHECK(site.id < kMaxSites);
-  SiteState& s = sites_[site.id];
-  if (s.kind == Kind::unused) {
-    s.kind = kind;
-    touched_.push_back(site.id);
-  }
-  AGG_DCHECK(s.kind == kind);
-  return s;
-}
-
-void WarpTrace::on_global(Site site, std::uint64_t addr, std::uint32_t bytes) {
-  SiteState& s = touch(site, Kind::global);
-  const std::uint32_t k = s.lane_steps[lane_]++;
-  if (k >= s.steps.size()) s.steps.resize(k + 1);
-  Step& step = s.steps[k];
-  const auto seg = static_cast<std::uint64_t>(
-      addr / static_cast<std::uint64_t>(tm_->segment_bytes));
-  // Line-buffer model of per-thread spatial locality: a lane re-reading the
-  // 128 B segment it touched last at this site (e.g. the sequential
-  // adjacency scan of thread mapping) hits in L1 and skips the latency step;
-  // the lockstep instruction itself is still issued. Because L1 is shared by
-  // all resident warps, only part of the stream survives between a lane's
-  // own accesses: every stream_refetch_period-th hit refetches the segment
-  // (counted against DRAM bandwidth below, but not the latency chain).
-  if (s.last_seg[lane_] == seg + 1) {
-    ++step.lanes;
-    step.bytes += bytes;
-    if (static_cast<int>(++s.lane_hits[lane_]) % tm_->stream_refetch_period != 0) {
-      return;
-    }
-    bool refetched = false;
-    for (std::uint32_t i = 0; i < step.nsegs; ++i) {
-      if (step.segs[i] == seg) {
-        refetched = true;
-        break;
-      }
-    }
-    if (!refetched && step.nsegs < static_cast<std::uint32_t>(kWarpSize)) {
-      step.segs[step.nsegs++] = seg;
-    }
-    return;
-  }
-  s.last_seg[lane_] = seg + 1;
-  ++s.lane_miss[lane_];
-  bool found = false;
-  for (std::uint32_t i = 0; i < step.nsegs; ++i) {
-    if (step.segs[i] == seg) {
-      found = true;
-      break;
-    }
-  }
-  if (!found) {
-    AGG_DCHECK(step.nsegs < static_cast<std::uint32_t>(kWarpSize));
-    step.segs[step.nsegs++] = seg;
-  }
-  ++step.lanes;
-  step.bytes += bytes;
-}
-
-void WarpTrace::on_compute(Site site, std::uint64_t ops) {
-  SiteState& s = touch(site, Kind::compute);
-  s.lane_ops[lane_] += ops;
-}
-
-void WarpTrace::on_atomic(Site site, std::uint64_t addr) {
-  SiteState& s = touch(site, Kind::atomic);
-  ++s.lane_steps[lane_];
-  s.atomic_addrs.push_back(addr);
-}
-
-void WarpTrace::on_shared(Site site, std::uint32_t word_index) {
-  SiteState& s = touch(site, Kind::shared);
-  const std::uint32_t k = s.lane_steps[lane_]++;
-  if (k >= s.steps.size()) s.steps.resize(k + 1);
-  Step& step = s.steps[k];
-  // For shared sites, segs[] holds raw word indices (not deduplicated); bank
-  // conflicts are derived in finish_warp.
-  AGG_DCHECK(step.nsegs < static_cast<std::uint32_t>(kWarpSize));
-  step.segs[step.nsegs++] = word_index;
-  ++step.lanes;
-  step.bytes += 4;
-}
-
-WarpCost WarpTrace::finish_warp(AtomicTally& tally) {
+WarpCost WarpTrace::finish_warp() {
   WarpCost cost;
-  for (std::uint8_t id : touched_) {
-    SiteState& s = sites_[id];
+  for (int t = 0; t < num_touched_; ++t) {
+    SiteState& s = sites_[touched_[t]];
+    fold(s);
     switch (s.kind) {
-      case Kind::compute: {
-        std::uint64_t max_ops = 0;
-        std::uint64_t sum_ops = 0;
-        for (int l = 0; l < kWarpSize; ++l) {
-          max_ops = std::max(max_ops, s.lane_ops[l]);
-          sum_ops += s.lane_ops[l];
-        }
-        cost.issue_cycles += static_cast<double>(max_ops);
-        cost.lane_work += static_cast<double>(sum_ops);
-        cost.lockstep_work += static_cast<double>(kWarpSize * max_ops);
+      case Kind::compute:
+        cost.issue_cycles += static_cast<double>(s.max_ops);
+        cost.lane_work += static_cast<double>(s.sum);
+        cost.lockstep_work += static_cast<double>(kWarpSize * s.max_ops);
         break;
-      }
-      case Kind::global: {
-        for (const Step& step : s.steps) {
+      case Kind::global:
+        for (std::uint32_t k = 0; k < s.nsteps; ++k) {
           cost.issue_cycles += tm_->issue_cycles_per_mem_instr +
-                               tm_->lsu_cycles_per_transaction * step.nsegs;
-          cost.transactions += step.nsegs;
+                               tm_->lsu_cycles_per_transaction * s.nsegs[k];
+          cost.transactions += s.nsegs[k];
         }
         // The latency chain counts only line-buffer misses (hits are served
         // from L1 within the issue cost), lockstep across lanes.
-        std::uint32_t max_miss = 0;
-        for (int l = 0; l < kWarpSize; ++l) {
-          max_miss = std::max(max_miss, s.lane_miss[l]);
-        }
-        cost.mem_instrs += static_cast<double>(max_miss);
+        cost.mem_instrs += static_cast<double>(s.max_misses);
         break;
-      }
-      case Kind::atomic: {
-        std::uint32_t max_steps = 0;
-        for (int l = 0; l < kWarpSize; ++l) {
-          max_steps = std::max(max_steps, s.lane_steps[l]);
-        }
+      case Kind::atomic:
         cost.issue_cycles +=
-            tm_->issue_cycles_per_atomic * static_cast<double>(max_steps);
-        cost.atomic_steps += static_cast<double>(max_steps);
-        cost.atomics += static_cast<double>(s.atomic_addrs.size());
-        for (std::uint64_t addr : s.atomic_addrs) tally.add(addr);
+            tm_->issue_cycles_per_atomic * static_cast<double>(s.nsteps);
+        cost.atomic_steps += static_cast<double>(s.nsteps);
+        cost.atomics += static_cast<double>(s.sum);
         break;
-      }
-      case Kind::shared: {
-        for (const Step& step : s.steps) {
+      case Kind::shared:
+        for (std::uint32_t k = 0; k < s.nsteps; ++k) {
           // Replays: max accesses that map to one bank; conflict-free = 1.
           std::array<std::uint8_t, 32> bank{};
           std::uint32_t replays = 1;
-          for (std::uint32_t i = 0; i < step.nsegs; ++i) {
-            const auto b = static_cast<std::uint32_t>(step.segs[i] % 32);
+          for (std::uint32_t i = 0; i < s.nsegs[k]; ++i) {
+            const auto b = static_cast<std::uint32_t>(s.segs[k][i] % 32);
             replays = std::max<std::uint32_t>(replays, ++bank[b]);
           }
           cost.issue_cycles += 1.0 + tm_->shared_replay_cycles * (replays - 1);
         }
         break;
-      }
       case Kind::unused:
         break;
     }
