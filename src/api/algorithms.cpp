@@ -31,6 +31,13 @@ ErrorCode fault_code(const simt::DeviceFault& f) {
   return ErrorCode::internal;
 }
 
+const char* sourced_query_error(const Graph& g, NodeId source,
+                                bool needs_weights) {
+  if (needs_weights && !g.is_weighted()) return "sssp requires edge weights";
+  if (source >= g.num_nodes()) return "source out of range";
+  return nullptr;
+}
+
 rt::Query runtime_query(const Graph& g, const Policy& policy,
                         bool of_symmetrized) {
   rt::Query q;
@@ -142,7 +149,9 @@ const char* error_code_message(ErrorCode code) {
 
 BfsResult bfs(simt::Device& dev, const Graph& g, NodeId source,
               const Policy& policy) {
-  AGG_CHECK(source < g.num_nodes());
+  if (const char* why = detail::sourced_query_error(g, source, false)) {
+    return detail::invalid_argument_result<BfsResult>(why);
+  }
   return detail::run_guarded<BfsResult>(dev, [&] {
   BfsResult out;
   switch (policy.mode) {
@@ -168,8 +177,9 @@ BfsResult bfs(simt::Device& dev, const Graph& g, NodeId source,
 
 SsspResult sssp(simt::Device& dev, const Graph& g, NodeId source,
                 const Policy& policy) {
-  AGG_CHECK(source < g.num_nodes());
-  AGG_CHECK_MSG(g.is_weighted(), "call set_uniform_weights() or load weights first");
+  if (const char* why = detail::sourced_query_error(g, source, true)) {
+    return detail::invalid_argument_result<SsspResult>(why);
+  }
   return detail::run_guarded<SsspResult>(dev, [&] {
   SsspResult out;
   switch (policy.mode) {

@@ -58,10 +58,11 @@ struct Policy {
     p.symmetrize = s;
     return p;
   }
-  // Sets the traversal direction for BFS/SSSP/CC: on a fixed policy it pins
+  // Sets the traversal direction for BFS/SSSP: on a fixed policy it pins
   // the variant's direction; on an adaptive policy Direction::adaptive
   // enables the direction-optimizing controller (Beamer push<->pull
-  // hysteresis, alpha/beta knobs on options.thresholds).
+  // hysteresis, alpha/beta knobs on options.thresholds). CC accepts any
+  // direction and always runs push.
   Policy with_direction(gg::Direction d) const {
     Policy p = *this;
     p.variant.direction = d;
@@ -204,6 +205,8 @@ using CcOutput = CcResult;
 using MstOutput = MstResult;
 using PageRankOutput = PageRankResult;
 
+// A source outside [0, num_nodes) and sssp on an unweighted graph return
+// Status::error with ErrorCode::invalid_argument.
 BfsResult bfs(simt::Device& dev, const Graph& g, NodeId source,
               const Policy& policy = {});
 SsspResult sssp(simt::Device& dev, const Graph& g, NodeId source,
@@ -251,6 +254,21 @@ ResultT run_guarded(simt::Device& dev, Fn&& fn) {
     out.error = f.what();
     return out;
   }
+}
+
+// Why a BFS (or, with `needs_weights`, SSSP) query from `source` cannot run
+// on `g`, or null when it can: the typed invalid_argument cause that the
+// free functions, Session and GraphService all return for these inputs.
+const char* sourced_query_error(const Graph& g, NodeId source,
+                                bool needs_weights);
+
+template <typename ResultT>
+ResultT invalid_argument_result(const char* why) {
+  ResultT out;
+  out.status = Status::error;
+  out.code = ErrorCode::invalid_argument;
+  out.error = why;
+  return out;
 }
 
 // The runtime form of `policy` for a BFS/SSSP/CC query on `g` (on its

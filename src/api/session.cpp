@@ -419,7 +419,9 @@ BfsResult Session::bfs_on(simt::DeviceIndex d, const Graph& g, NodeId source,
   simt::Device& dev = fleet_.device(d);
   Registration* reg = find_reg(g);
   if (reg == nullptr) return adaptive::bfs(dev, g, source, policy);
-  AGG_CHECK(source < g.num_nodes());
+  if (const char* why = detail::sourced_query_error(g, source, false)) {
+    return detail::invalid_argument_result<BfsResult>(why);
+  }
   return detail::run_guarded<BfsResult>(dev, [&] {
     // The relabelled layout and the CSC nest in this pin and stay resident
     // across queries.
@@ -438,9 +440,9 @@ SsspResult Session::sssp_on(simt::DeviceIndex d, const Graph& g, NodeId source,
   simt::Device& dev = fleet_.device(d);
   Registration* reg = find_reg(g);
   if (reg == nullptr) return adaptive::sssp(dev, g, source, policy);
-  AGG_CHECK(source < g.num_nodes());
-  AGG_CHECK_MSG(g.is_weighted(),
-                "call set_uniform_weights() or load weights first");
+  if (const char* why = detail::sourced_query_error(g, source, true)) {
+    return detail::invalid_argument_result<SsspResult>(why);
+  }
   return detail::run_guarded<SsspResult>(dev, [&] {
     Pin& pin = ensure_fresh(*reg, d, true);
     gg::GpuSsspResult gr = rt::run_sssp(dev, &pin.dg, g.csr(), source,

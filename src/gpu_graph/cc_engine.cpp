@@ -20,8 +20,6 @@ constexpr simt::Site kUpdateLoad{6, "cc.update-load"};
 constexpr simt::Site kUpdateStore{7, "cc.update-store"};
 constexpr simt::Site kQueueLoad{8, "cc.queue-load"};
 constexpr simt::Site kBitmapClear{9, "cc.bitmap-clear"};
-constexpr simt::Site kPullFrontierTest{10, "cc.pull-frontier-test"};
-constexpr simt::Site kLabelStore{11, "cc.label-store"};
 
 struct CcState {
   simt::DeviceBuffer<std::uint32_t>* label;
@@ -126,37 +124,6 @@ void launch_cc(simt::Device& dev, CcState& st, Variant v,
   }
 }
 
-// Pull (gather) label propagation, atomicMin-on-self style: CC requires a
-// symmetric graph, so the in-neighbor (CSC) view *is* the resident CSR —
-// the gather reads the same row_offsets/col_indices arrays and no separate
-// CSC upload is needed. Each vertex folds the labels of its frontier
-// neighbors into a register-local minimum and performs a single own-cell
-// store if it improved; no inter-thread atomics.
-void launch_cc_pull(simt::Device& dev, CcState& st, std::uint32_t thread_tpb) {
-  const std::uint32_t n = st.graph->num_nodes;
-  const auto grid = simt::GridSpec::dense(n, thread_tpb);
-  simt::launch(dev, "cc.compute.T_PULL", grid, [&](simt::ThreadCtx& ctx) {
-    const auto id = static_cast<std::uint32_t>(ctx.global_id());
-    const std::uint32_t c = ctx.load(*st.label, id, kNodeLabel);
-    const std::uint32_t begin = ctx.load(st.graph->row_offsets, id, kRowOffsets);
-    const std::uint32_t end = ctx.load(st.graph->row_offsets, id + 1, kRowOffsets);
-    ctx.compute(4, kNodeOps);
-    std::uint32_t best = c;
-    for (std::uint32_t e = begin; e < end; ++e) {
-      const std::uint32_t u = ctx.load(st.graph->col_indices, e, kEdgeLoad);
-      ctx.compute(2, kEdgeOps);
-      if (ctx.load(st.ws->bitmap(), u, kPullFrontierTest) == 0) continue;
-      const std::uint32_t cu = ctx.load(*st.label, u, kNodeLabel);
-      if (cu < best) best = cu;
-    }
-    if (best < c) {
-      ctx.store(*st.label, id, best, kLabelStore);
-      ctx.store(st.ws->update(), id, std::uint8_t{1}, kUpdateStore);
-      st.updated->push_back(id);
-    }
-  });
-}
-
 }  // namespace
 
 GpuCcResult run_cc(simt::Device& dev, const graph::Csr& g,
@@ -201,13 +168,7 @@ GpuCcResult run_cc(simt::Device& dev, DeviceGraph& dg, const graph::Csr& g,
   sel.avg_outdegree = dg.avg_outdegree;
   sel.outdeg_stddev = dg.outdeg_stddev;
   sel.num_nodes = g.num_nodes;
-  // Every node starts in the working set, so every edge is frontier-adjacent
-  // and the gather sweep has nothing extra to read (unexplored = m - fe = 0):
-  // the direction controller sees a saturated frontier from iteration one and
-  // starts CC in pull, flipping to push as the frontier drains.
-  sel.frontier_edges = dg.num_edges;
-  sel.unexplored_edges = 0;
-  Variant variant = normalize_direction(selector(sel));
+  Variant variant = selector(sel);
   variant.ordering = Ordering::unordered;
 
   // Initial working set = all nodes, produced by the generation kernel from
@@ -232,27 +193,17 @@ GpuCcResult run_cc(simt::Device& dev, DeviceGraph& dg, const graph::Csr& g,
     AGG_CHECK_MSG(iteration <= max_iters, "CC failed to converge");
     const double t_iter = dev.now_us();
 
-    if (variant.direction == Direction::pull) {
-      launch_cc_pull(dev, st, opts.thread_tpb);
-    } else {
-      launch_cc(dev, st, variant, frontier, opts.thread_tpb, block_tpb);
-    }
+    launch_cc(dev, st, variant, frontier, opts.thread_tpb, block_tpb);
     for (const std::uint32_t v : frontier) {
       result.metrics.edges_processed += g.degree(v);
     }
     std::sort(updated.begin(), updated.end());
 
-    if (variant.direction == Direction::pull) {
-      ws.charge_changed_flag_readback(dev);
-      ws.clear_frontier_bitmap(dev, frontier);
-    } else if (variant.repr == WorksetRepr::queue) {
+    if (variant.repr == WorksetRepr::queue) {
       ws.charge_queue_len_readback(dev);
     } else {
       ws.charge_changed_flag_readback(dev);
     }
-
-    std::uint64_t next_frontier_edges = 0;
-    for (const std::uint32_t v : updated) next_frontier_edges += g.degree(v);
 
     Variant next = variant;
     if (opts.monitor_interval > 0 && iteration % opts.monitor_interval == 0) {
@@ -261,14 +212,8 @@ GpuCcResult run_cc(simt::Device& dev, DeviceGraph& dg, const graph::Csr& g,
       }
       sel.iteration = iteration;
       sel.ws_size = updated.size();
-      sel.frontier_edges = next_frontier_edges;
-      // The CC gather folds over the resident (symmetric) CSR: edges whose
-      // endpoint is not in the frontier cost only the bitmap membership test,
-      // so the extra scan volume is whatever is not frontier-adjacent.
-      sel.unexplored_edges = dg.num_edges - next_frontier_edges;
-      sel.direction = variant.direction;
       ++result.metrics.decisions;
-      next = normalize_direction(selector(sel));
+      next = selector(sel);
       next.ordering = Ordering::unordered;
       if (next != variant) ++result.metrics.switches;
     }

@@ -32,7 +32,10 @@ struct GpuCcResult {
 };
 
 // Ordering is ignored (label propagation is inherently unordered); mapping
-// and representation follow the selector per decision point.
+// and representation follow the selector per decision point. There is no
+// gather (pull) kernel: every iteration scatters, and rt::run_cc resolves
+// any requested direction to push before it builds the selector, so the
+// logged variants are the ones that run (DESIGN.md "Direction optimization").
 GpuCcResult run_cc(simt::Device& dev, const graph::Csr& g,
                    const VariantSelector& selector, const EngineOptions& opts = {});
 

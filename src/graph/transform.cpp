@@ -3,47 +3,61 @@
 #include <algorithm>
 #include <map>
 #include <numeric>
-#include <tuple>
 
 namespace graph {
 
-bool is_symmetric(const Csr& g) {
-  // Count-compare arc multisets in both directions via sorted (min,max) keys
-  // is wrong for direction; instead compare per-pair directed multiplicities.
-  std::map<std::pair<NodeId, NodeId>, std::int64_t> balance;
-  for (std::uint32_t v = 0; v < g.num_nodes; ++v) {
+namespace {
+
+// Symmetric iff every row's out-arcs, self loops dropped, equal its in-arcs
+// as multisets. Keys pack `neighbor << 32 | weight-or-0`, so with weights an
+// arc only matches a reverse arc of the same weight. A counting-sort
+// transpose gathers each row's in-arc keys; both key lists of a row are then
+// sorted and compared: O(m log d) with two flat arrays, no per-arc map.
+bool rows_match_transpose(const Csr& g, bool with_weights) {
+  const std::uint32_t n = g.num_nodes;
+  auto key = [&](NodeId neighbor, std::uint32_t e) {
+    return std::uint64_t{neighbor} << 32 | (with_weights ? g.weights[e] : 0u);
+  };
+  std::vector<std::uint32_t> in_begin(n + 1, 0);
+  for (std::uint32_t v = 0; v < n; ++v) {
     for (const NodeId t : g.neighbors(v)) {
-      if (v == t) continue;  // self loops are their own reverse
-      const auto key = std::minmax(v, t);
-      balance[{key.first, key.second}] += v < t ? 1 : -1;
+      if (t != v) ++in_begin[t + 1];
     }
   }
-  for (const auto& [key, count] : balance) {
-    if (count != 0) return false;
+  std::partial_sum(in_begin.begin(), in_begin.end(), in_begin.begin());
+  std::vector<std::uint64_t> in_keys(in_begin[n]);
+  std::vector<std::uint32_t> fill(in_begin.begin(), in_begin.end() - 1);
+  for (std::uint32_t v = 0; v < n; ++v) {
+    for (std::uint32_t e = g.row_offsets[v]; e < g.row_offsets[v + 1]; ++e) {
+      const NodeId t = g.col_indices[e];
+      if (t != v) in_keys[fill[t]++] = key(v, e);
+    }
+  }
+  std::vector<std::uint64_t> out_keys;
+  for (std::uint32_t v = 0; v < n; ++v) {
+    out_keys.clear();
+    for (std::uint32_t e = g.row_offsets[v]; e < g.row_offsets[v + 1]; ++e) {
+      const NodeId t = g.col_indices[e];
+      if (t != v) out_keys.push_back(key(t, e));
+    }
+    const auto in_first = in_keys.begin() + in_begin[v];
+    const auto in_last = in_keys.begin() + in_begin[v + 1];
+    if (out_keys.size() != static_cast<std::size_t>(in_last - in_first)) {
+      return false;
+    }
+    std::sort(out_keys.begin(), out_keys.end());
+    std::sort(in_first, in_last);
+    if (!std::equal(out_keys.begin(), out_keys.end(), in_first)) return false;
   }
   return true;
 }
 
+}  // namespace
+
+bool is_symmetric(const Csr& g) { return rows_match_transpose(g, false); }
+
 bool is_weight_symmetric(const Csr& g) {
-  if (!g.has_weights()) return is_symmetric(g);
-  // Same balance trick, but the key carries the weight: (u,v,w) must be
-  // matched by (v,u,w), multiplicity counted. Self loops pair with
-  // themselves.
-  std::map<std::tuple<NodeId, NodeId, std::uint32_t>, std::int64_t> balance;
-  for (std::uint32_t v = 0; v < g.num_nodes; ++v) {
-    const auto nbrs = g.neighbors(v);
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      const NodeId t = nbrs[i];
-      if (v == t) continue;
-      const std::uint32_t w = g.weights[g.row_offsets[v] + i];
-      const auto key = std::minmax(v, t);
-      balance[{key.first, key.second, w}] += v < t ? 1 : -1;
-    }
-  }
-  for (const auto& [key, count] : balance) {
-    if (count != 0) return false;
-  }
-  return true;
+  return rows_match_transpose(g, g.has_weights());
 }
 
 RelabeledGraph relabel(const Csr& g, std::span<const NodeId> new_id) {

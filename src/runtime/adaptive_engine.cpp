@@ -205,7 +205,14 @@ gg::GpuSsspResult run_sssp(simt::Device& dev, gg::DeviceGraph* dg,
 }
 
 gg::GpuCcResult run_cc(simt::Device& dev, gg::DeviceGraph* dg,
-                       const graph::Csr& g, const Query& q) {
+                       const graph::Csr& g, const Query& query) {
+  // CC always scatters: a min-label fold has no first-hit early exit, so the
+  // gather lost on every graph measured (DESIGN.md "Direction optimization").
+  // Resolving here, before the selector is built, keeps the decision log and
+  // the iteration records equal to what runs.
+  Query q = query;
+  q.options.direction = gg::Direction::push;
+  if (q.fixed) q.fixed->direction = gg::Direction::push;
   return run_in_layout(
       dev, dg, g, q, "cc", /*with_weights=*/false, [&](const Layout& l) {
         gg::GpuCcResult r = l.dg ? gg::run_cc(dev, *l.dg, l.csr, l.selector, l.eo)

@@ -463,22 +463,16 @@ void GraphService::execute_single(PendingQuery q) {
     bump("svc.completed");
     return;
   }
-  if ((q.req.algo == Algo::sssp) && !g.is_weighted()) {
-    out.status = adaptive::Status::error;
-    out.error = "sssp requires edge weights";
-    out.code = adaptive::ErrorCode::invalid_argument;
-    done_.push_back(std::move(out));
-    bump("svc.completed");
-    return;
-  }
-  if ((q.req.algo == Algo::bfs || q.req.algo == Algo::sssp) &&
-      q.req.source >= g.num_nodes()) {
-    out.status = adaptive::Status::error;
-    out.error = "source out of range";
-    out.code = adaptive::ErrorCode::invalid_argument;
-    done_.push_back(std::move(out));
-    bump("svc.completed");
-    return;
+  if (q.req.algo == Algo::bfs || q.req.algo == Algo::sssp) {
+    if (const char* why = adaptive::detail::sourced_query_error(
+            g, q.req.source, q.req.algo == Algo::sssp)) {
+      out.status = adaptive::Status::error;
+      out.error = why;
+      out.code = adaptive::ErrorCode::invalid_argument;
+      done_.push_back(std::move(out));
+      bump("svc.completed");
+      return;
+    }
   }
 
   // Result cache: a completed exact answer for this key is served from host
@@ -1132,9 +1126,10 @@ void GraphService::execute_bfs_batch(std::vector<PendingQuery> batch) {
   for (std::size_t i = 0; i < k; ++i) {
     const PendingQuery& q = batch[i];
     QueryOutcome out = make_outcome(q);
-    if (q.req.source >= g.num_nodes()) {
+    if (const char* why =
+            adaptive::detail::sourced_query_error(g, q.req.source, false)) {
       out.status = adaptive::Status::error;
-      out.error = "source out of range";
+      out.error = why;
       out.code = adaptive::ErrorCode::invalid_argument;
       bump("svc.completed");
       resolved[i] = 1;

@@ -27,6 +27,36 @@ TEST(Session, ResidentQueriesMatchReference) {
   EXPECT_TRUE(out.ok());
 }
 
+// Bad sources and unweighted SSSP are typed invalid_argument errors on the
+// resident path, the unregistered path and the CPU policy alike, and the
+// session keeps answering afterwards.
+TEST(Session, BadSourcesAndUnweightedSsspAreTypedErrors) {
+  adaptive::Session session;
+  const auto g = make_graph(200, 600);
+  const auto unregistered = make_graph(200, 600);
+  session.register_graph(g);
+  const adaptive::NodeId bad = g.num_nodes();
+  for (const adaptive::Graph* graph : {&g, &unregistered}) {
+    for (const auto& policy :
+         {adaptive::Policy::adapt(), adaptive::Policy::cpu()}) {
+      const auto b = session.bfs(*graph, bad, policy);
+      EXPECT_EQ(b.code, adaptive::ErrorCode::invalid_argument) << b.error;
+      const auto s = session.sssp(*graph, 0, policy);
+      EXPECT_EQ(s.code, adaptive::ErrorCode::invalid_argument) << s.error;
+      EXPECT_FALSE(b.ok());
+      EXPECT_FALSE(s.ok());
+    }
+  }
+  auto weighted = make_graph(200, 600);
+  weighted.set_uniform_weights(1, 9);
+  session.register_graph(weighted);
+  const auto s = session.sssp(weighted, bad);
+  EXPECT_EQ(s.code, adaptive::ErrorCode::invalid_argument) << s.error;
+  EXPECT_EQ(session.sssp(weighted, 0).dist,
+            cpu::dijkstra(weighted.csr(), 0).dist);
+  EXPECT_EQ(session.bfs(g, 0).level, cpu::bfs(g.csr(), 0).level);
+}
+
 TEST(Session, RegisteredGraphSkipsPerQueryUpload) {
   adaptive::Session resident;
   adaptive::Session fresh;

@@ -100,9 +100,12 @@ TEST(Algorithms, CpuPolicyReportsWallClock) {
   EXPECT_EQ(out.metrics.kernels, 0u);
 }
 
-TEST(Algorithms, SsspWithoutWeightsDies) {
+TEST(Algorithms, SsspWithoutWeightsIsTypedError) {
   const auto g = small_graph();
-  EXPECT_DEATH(adaptive::sssp(g, 0), "weights");
+  const auto out = adaptive::sssp(g, 0);
+  EXPECT_FALSE(out.ok());
+  EXPECT_EQ(out.code, adaptive::ErrorCode::invalid_argument);
+  EXPECT_NE(out.error.find("weights"), std::string::npos) << out.error;
 }
 
 TEST(Algorithms, FixedPolicyParsesAllNames) {

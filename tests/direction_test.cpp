@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/algorithms.h"
@@ -152,6 +153,12 @@ TEST(Direction, PullAndDirectionOptimizingMatchTheOracleAcrossTheCorpus) {
       ASSERT_TRUE(cc.ok()) << gc.name << " cc " << tag;
       ASSERT_EQ(cc.component, cc_want.component) << gc.name << " cc " << tag;
       ASSERT_EQ(cc.num_components, cc_want.num_components) << gc.name;
+      // CC runs push under every direction (CcRunsPushUnderEveryDirection).
+      simt::Device pdev;
+      const auto cc_push =
+          adaptive::cc(pdev, g, policy.with_direction(gg::Direction::push));
+      EXPECT_EQ(cc.metrics.total_us, cc_push.metrics.total_us)
+          << gc.name << " cc " << tag;
     }
   }
 }
@@ -172,13 +179,48 @@ TEST(Direction, ControllerReachesPullOnFrontierHeavyGraphs) {
   EXPECT_EQ(out.level, cpu::bfs(g.csr(), src).level);
   EXPECT_TRUE(ran_pull_iteration(out.metrics))
       << "direction controller never left push on a dense R-MAT";
+}
 
-  // CC starts with every vertex active (frontier_edges == m), so the
-  // controller begins in pull and hands back to push as the frontier dries.
-  simt::Device cdev;
-  const auto cc = adaptive::cc(cdev, g, direction_optimizing());
-  ASSERT_TRUE(cc.ok());
-  EXPECT_TRUE(ran_pull_iteration(cc.metrics));
+std::vector<std::string> iteration_variants(const gg::TraversalMetrics& m) {
+  std::vector<std::string> names;
+  for (const auto& it : m.iterations) names.push_back(gg::variant_name(it.variant));
+  return names;
+}
+
+// CC has no gather kernel: a min-label fold cannot stop at the first
+// frontier in-neighbor, so the gather lost everywhere it was measured.
+// Every direction spelling is accepted and runs exactly the push schedule.
+TEST(Direction, CcRunsPushUnderEveryDirection) {
+  graph::gen::RmatParams rm;
+  rm.scale = 11;
+  rm.edges_per_node = 16;
+  rm.seed = 3;
+  const std::vector<std::pair<const char*, graph::Csr>> graphs{
+      {"rmat11", graph::gen::rmat(rm)},
+      {"road", graph::gen::road_network(2000, 4)}};
+  const std::pair<adaptive::Policy, adaptive::Policy> pairs[] = {
+      {direction_optimizing(), adaptive::Policy::adapt()},
+      {pull_fixed(), push_fixed()}};
+  for (const auto& [name, csr] : graphs) {
+    adaptive::Graph g = adaptive::Graph::from_csr(graph::Csr(csr));
+    const auto want = cpu::connected_components(g.symmetrized());
+    for (const auto& [asked, push] : pairs) {
+      simt::Device dev_push;
+      simt::Device dev_asked;
+      const auto p = adaptive::cc(dev_push, g, push);
+      const auto a = adaptive::cc(dev_asked, g, asked);
+      ASSERT_TRUE(p.ok()) << name;
+      ASSERT_TRUE(a.ok()) << name;
+      EXPECT_EQ(p.component, want.component) << name;
+      EXPECT_EQ(a.component, want.component) << name;
+      EXPECT_FALSE(ran_pull_iteration(p.metrics)) << name;
+      EXPECT_FALSE(ran_pull_iteration(a.metrics)) << name;
+      EXPECT_EQ(a.metrics.total_us, p.metrics.total_us) << name;
+      EXPECT_EQ(a.metrics.kernels, p.metrics.kernels) << name;
+      EXPECT_EQ(iteration_variants(a.metrics), iteration_variants(p.metrics))
+          << name;
+    }
+  }
 }
 
 // ---- CSC cache --------------------------------------------------------------
@@ -254,9 +296,7 @@ DoCapture run_do_bfs_with_threads(int threads) {
                     direction_optimizing());
   DoCapture cap;
   cap.level = out.level;
-  for (const auto& it : out.metrics.iterations) {
-    cap.variants.push_back(gg::variant_name(it.variant));
-  }
+  cap.variants = iteration_variants(out.metrics);
   cap.total_us = out.metrics.total_us;
   simt::ExecPool::set_threads(1);
   return cap;

@@ -291,9 +291,12 @@ TEST_F(IoFuzzTest, BinaryMutants) {
 
 using ApiFailureDeathTest = ::testing::Test;
 
-TEST(ApiFailureDeathTest, BfsSourceOutOfRange) {
+TEST(ApiFailure, BfsSourceOutOfRangeIsTypedError) {
   const auto g = adaptive::Graph::from_edges(2, {{0, 1}});
-  EXPECT_DEATH(adaptive::bfs(g, 5), "");
+  const auto out = adaptive::bfs(g, 5);
+  EXPECT_FALSE(out.ok());
+  EXPECT_EQ(out.code, adaptive::ErrorCode::invalid_argument);
+  EXPECT_NE(out.error.find("source"), std::string::npos) << out.error;
 }
 
 TEST(ApiFailureDeathTest, InvalidVariantName) {

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <numeric>
+#include <tuple>
 
+#include "common/prng.h"
+#include "conformance_corpus.h"
 #include "cpu/bfs_serial.h"
 #include "cpu/sssp_serial.h"
 #include "graph/gen/generators.h"
@@ -78,6 +83,120 @@ TEST(IsWeightSymmetric, UnweightedFallsBackToStructural) {
   const auto loop = graph::csr_from_edges(
       1, std::vector<graph::Edge>{{0, 0}}, std::vector<std::uint32_t>{9});
   EXPECT_TRUE(graph::is_weight_symmetric(loop));
+}
+
+// Reference predicates: the earlier map-based balance count, kept verbatim
+// so the linear-time checks are compared against an independent form.
+bool ref_is_symmetric(const graph::Csr& g) {
+  std::map<std::pair<graph::NodeId, graph::NodeId>, std::int64_t> balance;
+  for (std::uint32_t v = 0; v < g.num_nodes; ++v) {
+    for (const graph::NodeId t : g.neighbors(v)) {
+      if (v == t) continue;  // self loops are their own reverse
+      const auto key = std::minmax(v, t);
+      balance[{key.first, key.second}] += v < t ? 1 : -1;
+    }
+  }
+  for (const auto& [key, count] : balance) {
+    if (count != 0) return false;
+  }
+  return true;
+}
+
+bool ref_is_weight_symmetric(const graph::Csr& g) {
+  if (!g.has_weights()) return ref_is_symmetric(g);
+  std::map<std::tuple<graph::NodeId, graph::NodeId, std::uint32_t>,
+           std::int64_t>
+      balance;
+  for (std::uint32_t v = 0; v < g.num_nodes; ++v) {
+    const auto nbrs = g.neighbors(v);
+    for (std::size_t i = 0; i < nbrs.size(); ++i) {
+      const graph::NodeId t = nbrs[i];
+      if (v == t) continue;
+      const std::uint32_t w = g.weights[g.row_offsets[v] + i];
+      const auto key = std::minmax(v, t);
+      balance[{key.first, key.second, w}] += v < t ? 1 : -1;
+    }
+  }
+  for (const auto& [key, count] : balance) {
+    if (count != 0) return false;
+  }
+  return true;
+}
+
+void expect_matches_reference(const graph::Csr& g, const std::string& name) {
+  EXPECT_EQ(graph::is_symmetric(g), ref_is_symmetric(g)) << name;
+  EXPECT_EQ(graph::is_weight_symmetric(g), ref_is_weight_symmetric(g)) << name;
+}
+
+TEST(SymmetryChecks, MatchTheMapReferenceOnTheCorpus) {
+  for (const auto& gc : testutil::conformance_corpus()) {
+    expect_matches_reference(gc.csr, gc.name);
+    graph::Csr sym_w(gc.csr);
+    graph::assign_symmetric_uniform_weights(sym_w, 1, 4, 11);
+    expect_matches_reference(sym_w, gc.name + " symmetric weights");
+    graph::Csr any_w(gc.csr);
+    graph::assign_uniform_weights(any_w, 1, 4, 12);
+    expect_matches_reference(any_w, gc.name + " uniform weights");
+  }
+}
+
+// Random multigraphs built symmetric (weights from a tiny range, so equal
+// weights collide), then broken in one of the ways the predicates must see:
+// a duplicate arc, a one-sided arc, a dropped arc or one mismatched weight.
+TEST(SymmetryChecks, MatchTheMapReferenceOnRandomMultigraphs) {
+  agg::Prng rng(2013);
+  int symmetric = 0;
+  int weight_symmetric = 0;
+  constexpr int kTrials = 4000;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    const auto n = static_cast<std::uint32_t>(rng.uniform_int(1, 12));
+    auto node = [&] { return static_cast<graph::NodeId>(rng.bounded(n)); };
+    std::vector<graph::Edge> edges;
+    std::vector<std::uint32_t> weights;
+    const auto pairs = rng.uniform_int(0, 3 * n);
+    for (std::int64_t i = 0; i < pairs; ++i) {
+      const graph::NodeId u = node();
+      const graph::NodeId v = rng.bounded(4) == 0 ? u : node();
+      const auto w = static_cast<std::uint32_t>(rng.uniform_int(1, 3));
+      edges.push_back({u, v});
+      edges.push_back({v, u});
+      weights.insert(weights.end(), {w, w});
+    }
+    const auto mutation = rng.bounded(5);  // 0 = leave symmetric
+    if (mutation == 1 && !edges.empty()) {  // duplicate one arc
+      const auto i = rng.bounded(edges.size());
+      edges.push_back(edges[i]);
+      weights.push_back(weights[i]);
+    } else if (mutation == 2) {  // add a one-sided arc
+      edges.push_back({node(), node()});
+      weights.push_back(static_cast<std::uint32_t>(rng.uniform_int(1, 3)));
+    } else if (mutation == 3 && !edges.empty()) {  // drop one arc
+      const auto i = rng.bounded(edges.size());
+      edges.erase(edges.begin() + static_cast<std::ptrdiff_t>(i));
+      weights.erase(weights.begin() + static_cast<std::ptrdiff_t>(i));
+    } else if (mutation == 4 && !edges.empty()) {  // mismatch one weight
+      weights[rng.bounded(weights.size())] += 1;
+    }
+    // Arc order within a row must not matter.
+    for (std::size_t i = edges.size(); i > 1; --i) {
+      const auto j = rng.bounded(i);
+      std::swap(edges[i - 1], edges[j]);
+      std::swap(weights[i - 1], weights[j]);
+    }
+    const std::string name = "trial " + std::to_string(trial);
+    const graph::Csr unweighted = graph::csr_from_edges(n, edges);
+    const graph::Csr weighted = graph::csr_from_edges(n, edges, weights);
+    expect_matches_reference(unweighted, name);
+    expect_matches_reference(weighted, name + " weighted");
+    symmetric += graph::is_symmetric(weighted);
+    weight_symmetric += graph::is_weight_symmetric(weighted);
+  }
+  // Both answers occur often, so neither predicate passes by always
+  // returning the same value.
+  EXPECT_GT(symmetric, kTrials / 4);
+  EXPECT_LT(symmetric, kTrials * 3 / 4 + kTrials / 8);
+  EXPECT_GT(weight_symmetric, kTrials / 5);
+  EXPECT_LT(weight_symmetric, symmetric);
 }
 
 TEST(RelabelByDegree, SortsDegreesDescending) {

@@ -732,6 +732,7 @@ int main(int argc, char** argv) {
         "               [--direction=push|pull|adaptive]\n"
         "               [--representation=plain|relabelled|adaptive]\n"
         "  agg cc       <graph> [--policy=...] [--no-symmetrize]\n"
+        "               [--direction=push|pull|adaptive] (always runs push)\n"
         "  agg pagerank <graph> [--damping=0.85] [--policy=...] [--top=10]\n"
         "  agg mst      <graph> [--policy=...] [--no-symmetrize]\n"
         "  agg generate <kind> --out=FILE [--nodes=N] [--seed=S] [--weights]\n"
@@ -768,10 +769,11 @@ int main(int argc, char** argv) {
         "  --trace-format=F      chrome (kernel/transfer/iteration timeline,\n"
         "                        default) | jsonl (adaptive decision log)\n"
         "  --metrics-out=FILE    write the metrics-counter registry as JSON\n"
-        "  --direction=D         traversal direction for bfs/sssp/cc: push\n"
+        "  --direction=D         traversal direction for bfs/sssp: push\n"
         "                        (scatter over CSR, default), pull (gather\n"
         "                        over CSC), adaptive (Beamer push<->pull\n"
-        "                        controller; pairs with --policy=adaptive)\n"
+        "                        controller; pairs with --policy=adaptive);\n"
+        "                        cc accepts all three and always runs push\n"
         "  --do-alpha=F          push->pull flip threshold: go pull when\n"
         "                        frontier_edges > F * (unexplored_edges + n)\n"
         "                        (default 0.5)\n"
