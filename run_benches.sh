@@ -43,6 +43,10 @@ mkdir -p results
         # Archive the fleet-serving acceptance numbers (replicated makespan
         # scaling, failover, sharded execution) as a diffable artifact.
         "$b" | tee results/BENCH_fleet.txt
+      elif [ "$(basename "$b")" = ext_cc ]; then
+        # Archive the connected-components numbers (speedups over union-find,
+        # adaptive modeled time and sweep counts) as a diffable artifact.
+        "$b" | tee results/ext_cc.txt
       elif [ "$(basename "$b")" = ext_direction ]; then
         # Machine-readable push-vs-pull-vs-DO numbers (per-dataset times,
         # pull-iteration counts, DO/push speedups) for cross-revision diffs.

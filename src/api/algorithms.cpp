@@ -38,15 +38,19 @@ const char* sourced_query_error(const Graph& g, NodeId source,
   return nullptr;
 }
 
-rt::Query runtime_query(const Graph& g, const Policy& policy,
-                        bool of_symmetrized) {
+rt::Query cc_query(const Graph& g, const Policy& policy, bool of_symmetrized) {
   rt::Query q;
   if (policy.mode == Policy::Mode::fixed_variant) q.fixed = policy.variant;
   q.options = policy.options;
+  if (policy.wants_rep()) q.rel = &g.relabelled_view(of_symmetrized);
+  return q;
+}
+
+rt::Query runtime_query(const Graph& g, const Policy& policy) {
+  rt::Query q = cc_query(g, policy, /*of_symmetrized=*/false);
   // Pull iterations gather over the CSC; the Graph's cached host copy saves
   // the engine a transpose per query.
-  if (policy.wants_pull() && !of_symmetrized) q.options.engine.csc = &g.csc();
-  if (policy.wants_rep()) q.rel = &g.relabelled_view(of_symmetrized);
+  if (policy.wants_pull()) q.options.engine.csc = &g.csc();
   return q;
 }
 
@@ -219,7 +223,7 @@ CcResult cc(simt::Device& dev, const Graph& g, const Policy& policy) {
     case Policy::Mode::adaptive: {
       gg::GpuCcResult r = rt::run_cc(
           dev, nullptr, csr,
-          detail::runtime_query(g, policy, /*of_symmetrized=*/&csr != &g.csr()));
+          detail::cc_query(g, policy, /*of_symmetrized=*/&csr != &g.csr()));
       out.component = std::move(r.component);
       out.num_components = r.num_components;
       out.metrics = std::move(r.metrics);

@@ -271,12 +271,15 @@ ResultT invalid_argument_result(const char* why) {
   return out;
 }
 
-// The runtime form of `policy` for a BFS/SSSP/CC query on `g` (on its
-// symmetrized closure when `of_symmetrized`, the cc base). Hands over the
+// The runtime form of `policy` for a BFS/SSSP query on `g`. Hands over the
 // Graph's cached CSC and relabelled views, so repeated queries share one
-// build. Callers pass it to rt::run_bfs / run_sssp / run_cc.
-rt::Query runtime_query(const Graph& g, const Policy& policy,
-                        bool of_symmetrized = false);
+// build. Callers pass it to rt::run_bfs / run_sssp.
+rt::Query runtime_query(const Graph& g, const Policy& policy);
+
+// The same for a CC query on `g` (on its symmetrized closure when
+// `of_symmetrized`). CC only scatters, so the query carries no CSC and
+// building one is never triggered. Callers pass it to rt::run_cc.
+rt::Query cc_query(const Graph& g, const Policy& policy, bool of_symmetrized);
 
 }  // namespace detail
 

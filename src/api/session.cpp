@@ -472,8 +472,7 @@ CcResult Session::cc_on(simt::DeviceIndex d, const Graph& g,
     }
     gg::GpuCcResult gr = rt::run_cc(
         dev, dg, target,
-        detail::runtime_query(g, policy,
-                              /*of_symmetrized=*/&target != &g.csr()));
+        detail::cc_query(g, policy, /*of_symmetrized=*/&target != &g.csr()));
     CcResult r;
     r.component = std::move(gr.component);
     r.num_components = gr.num_components;

@@ -20,6 +20,8 @@ constexpr simt::Site kUpdateLoad{6, "cc.update-load"};
 constexpr simt::Site kUpdateStore{7, "cc.update-store"};
 constexpr simt::Site kQueueLoad{8, "cc.queue-load"};
 constexpr simt::Site kBitmapClear{9, "cc.bitmap-clear"};
+constexpr simt::Site kJumpLoad{10, "cc.jump-load"};
+constexpr simt::Site kJumpAtomic{11, "cc.jump-atomic"};
 
 struct CcState {
   simt::DeviceBuffer<std::uint32_t>* label;
@@ -28,9 +30,24 @@ struct CcState {
   std::vector<std::uint32_t>* updated;
 };
 
+// Pushes the node's label to its neighbours, shortcut by one pointer jump:
+// when label[id] = c names another node, label[c] also reaches id (labels are
+// ids of nodes that reach the labelled node), so the lane at offset 0 lowers
+// label[id] to it and every lane pushes the jumped label. The jump needs no
+// re-entry into the working set: lanes run in lane order, so the others read
+// the lowered label and push a value no larger than it. Label 0 is always
+// its own label, so it skips the dependent load; on graphs whose largest
+// component holds node 0 that is most active nodes after the first sweep.
 void propagate_element(simt::ThreadCtx& ctx, CcState& st, std::uint32_t id,
                        std::uint32_t offset, std::uint32_t step) {
-  const std::uint32_t c = ctx.load(*st.label, id, kNodeLabel);
+  std::uint32_t c = ctx.load(*st.label, id, kNodeLabel);
+  if (c != id && c != 0) {
+    const std::uint32_t cc = ctx.load(*st.label, c, kJumpLoad);
+    if (cc < c) {
+      if (offset == 0) ctx.atomic_min(*st.label, id, cc, kJumpAtomic);
+      c = cc;
+    }
+  }
   const std::uint32_t begin = ctx.load(st.graph->row_offsets, id, kRowOffsets);
   const std::uint32_t end = ctx.load(st.graph->row_offsets, id + 1, kRowOffsets);
   ctx.compute(4, kNodeOps);

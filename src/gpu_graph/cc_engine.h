@@ -3,15 +3,20 @@
 // to many other graph algorithms, which can be expressed as a sequence of
 // iterative steps, each step processing a set of elements").
 //
-// Algorithm: unordered min-label propagation. Every node starts in the
-// working set with its own id as label; each iteration pushes labels along
-// edges with atomic min, and nodes whose label dropped re-enter the working
-// set. Converges in O(component diameter) iterations. The same two-kernel
-// framework, dual working set, mapping granularities (including the
-// warp-centric extension) and adaptive selection apply unchanged.
+// Algorithm: unordered min-label propagation with pointer jumping. Every
+// node starts in the working set with its own id as label; each iteration
+// first shortcuts an active node's label c to label[c] (one dependent load),
+// then pushes it along edges with atomic min, and nodes whose label dropped
+// re-enter the working set. Plain propagation needs one sweep per hop of
+// component diameter; the jump lets a label cross many hops per sweep (a
+// road lattice with 115 BFS levels converges in 10 sweeps). The same
+// two-kernel framework, dual working set, mapping granularities (including
+// the warp-centric extension) and adaptive selection apply unchanged.
 //
 // The input graph must be symmetric (both arcs stored) for the result to be
-// the weakly-connected components; use graph::symmetrize() otherwise.
+// the weakly-connected components; use graph::symmetrize() otherwise. On a
+// directed graph label[v] is the smallest id that reaches v along arcs: the
+// jump keeps that, because label[c] reaches c and c reaches v.
 #pragma once
 
 #include <vector>

@@ -989,7 +989,7 @@ void GraphService::run_device_query(const PendingQuery& q, GraphEntry& entry,
       }
       gg::GpuCcResult gr =
           rt::run_cc(dev, dg, *csr,
-                     adaptive::detail::runtime_query(g, policy, needs_sym));
+                     adaptive::detail::cc_query(g, policy, needs_sym));
       adaptive::CcResult r;
       r.component = std::move(gr.component);
       r.num_components = gr.num_components;

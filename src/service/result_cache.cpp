@@ -135,7 +135,11 @@ CacheKey make_cache_key(std::uint64_t graph_key, std::uint64_t version,
       key.param_bits = double_bits(damping);
       break;
     case Algo::cc:
-      break;
+      // CC runs push under every direction (rt::run_cc), so push, pull and
+      // adaptive direction ask the same question and share one entry.
+      key.policy_sig =
+          policy_signature(policy.with_direction(gg::Direction::push));
+      return key;
   }
   key.policy_sig = policy_signature(policy);
   return key;

@@ -223,6 +223,29 @@ TEST(Direction, CcRunsPushUnderEveryDirection) {
   }
 }
 
+// Every direction runs the same CC, so a cache-on Session keys it once.
+TEST(Direction, CcCacheEntryIsSharedAcrossDirections) {
+  const adaptive::Graph g =
+      adaptive::Graph::from_csr(graph::gen::road_network(1000, 5));
+  adaptive::Session session;
+  session.register_graph(g);
+  session.enable_result_cache(16 << 20);
+  const auto adapt = session.cc(g, adaptive::Policy::adapt());
+  const auto dopt = session.cc(g, direction_optimizing());
+  const auto push = session.cc(
+      g, adaptive::Policy::adapt().with_direction(gg::Direction::push));
+  ASSERT_TRUE(adapt.ok());
+  EXPECT_EQ(session.result_cache().entries(), 1u);
+  EXPECT_EQ(session.result_cache().stats().hits, 2u);
+  EXPECT_EQ(dopt.component, adapt.component);
+  EXPECT_EQ(push.component, adapt.component);
+
+  // BFS keys still tell the directions apart.
+  session.bfs(g, 0, direction_optimizing());
+  session.bfs(g, 0, adaptive::Policy::adapt());
+  EXPECT_EQ(session.result_cache().entries(), 3u);
+}
+
 // ---- CSC cache --------------------------------------------------------------
 
 TEST(Direction, CscIsCachedSharedForSymmetricAndInvalidatedOnMutation) {
@@ -245,6 +268,21 @@ TEST(Direction, CscIsCachedSharedForSymmetricAndInvalidatedOnMutation) {
   const graph::Csr& csc2 = g.csc();
   EXPECT_TRUE(csc2.has_weights());
   EXPECT_EQ(csc2.row_offsets, want.row_offsets);
+}
+
+// CC only scatters: its query hands the engine no CSC, so a graph whose
+// transpose is not its CSR never builds one for CC. BFS still gets it.
+TEST(Direction, CcQueryCarriesNoCsc) {
+  const adaptive::Graph g = adaptive::Graph::from_csr(graph::csr_from_edges(
+      3, std::vector<graph::Edge>{{0, 1}, {1, 2}}));
+  const adaptive::Policy dopt = direction_optimizing();
+  for (const bool of_symmetrized : {false, true}) {
+    EXPECT_EQ(adaptive::detail::cc_query(g, dopt, of_symmetrized)
+                  .options.engine.csc,
+              nullptr);
+  }
+  EXPECT_EQ(adaptive::detail::runtime_query(g, dopt).options.engine.csc,
+            &g.csc());
 }
 
 TEST(Direction, SessionServesPullPoliciesOnResidentGraphs) {

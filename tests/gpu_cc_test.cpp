@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <set>
+#include <string>
 
 #include "api/algorithms.h"
+#include "common/prng.h"
+#include "cpu/bfs_serial.h"
 #include "cpu/cc_serial.h"
 #include "gpu_graph/cc_engine.h"
 #include "graph/gen/generators.h"
@@ -46,11 +50,17 @@ struct CcCase {
   Variant variant;
 };
 
+std::vector<Variant> cc_variants() {
+  std::vector<Variant> out;
+  for (const Variant v : gg::unordered_variants()) out.push_back(v);
+  for (const Variant v : gg::warp_centric_variants()) out.push_back(v);
+  return out;
+}
+
 std::vector<CcCase> all_cases() {
   std::vector<CcCase> cases;
   for (std::size_t g = 0; g < test_graphs().size(); ++g) {
-    for (const Variant v : gg::unordered_variants()) cases.push_back({g, v});
-    for (const Variant v : gg::warp_centric_variants()) cases.push_back({g, v});
+    for (const Variant v : cc_variants()) cases.push_back({g, v});
   }
   return cases;
 }
@@ -167,6 +177,112 @@ TEST(GpuCc, ComponentCountMatchesDistinctLabels) {
   EXPECT_EQ(labels.size(), got.num_components);
   // Every label is the minimum of its class: label[l] == l.
   for (const auto l : labels) EXPECT_EQ(got.component[l], l);
+}
+
+// ---- pointer jumping ---------------------------------------------------------
+
+// What CC answers without symmetrization: for u in increasing id order, u
+// labels every still-unlabelled node it reaches along arcs. A labelled node
+// was reached by a smaller id, which also reached everything it reaches, so
+// the search stops there.
+std::vector<std::uint32_t> min_reaching_id(const graph::Csr& g) {
+  std::vector<std::uint32_t> label(g.num_nodes, graph::kInfinity);
+  std::vector<std::uint32_t> stack;
+  for (std::uint32_t u = 0; u < g.num_nodes; ++u) {
+    if (label[u] != graph::kInfinity) continue;
+    label[u] = u;
+    stack.push_back(u);
+    while (!stack.empty()) {
+      const std::uint32_t v = stack.back();
+      stack.pop_back();
+      for (const std::uint32_t t : g.neighbors(v)) {
+        if (label[t] == graph::kInfinity) {
+          label[t] = u;
+          stack.push_back(t);
+        }
+      }
+    }
+  }
+  return label;
+}
+
+// A random digraph with long directed chains: a Hamiltonian path through a
+// shuffled node order with each arc oriented at random, plus n/8 random
+// chords. Labels must travel far along arcs, so shortcuts get exercised.
+graph::Csr oriented_path_digraph(std::uint32_t n, std::uint64_t seed) {
+  agg::Prng rng(seed);
+  std::vector<std::uint32_t> order(n);
+  std::iota(order.begin(), order.end(), 0u);
+  for (std::uint32_t i = n - 1; i > 0; --i) {
+    std::swap(order[i], order[rng.bounded(i + 1)]);
+  }
+  std::vector<graph::Edge> edges;
+  for (std::uint32_t i = 0; i + 1 < n; ++i) {
+    if (rng.bounded(2) == 0) {
+      edges.push_back({order[i], order[i + 1]});
+    } else {
+      edges.push_back({order[i + 1], order[i]});
+    }
+  }
+  for (std::uint32_t k = 0; k < n / 8; ++k) {
+    const auto u = static_cast<std::uint32_t>(rng.bounded(n));
+    const auto v = static_cast<std::uint32_t>(rng.bounded(n));
+    if (u != v) edges.push_back({u, v});
+  }
+  return graph::csr_from_edges(n, edges);
+}
+
+// Symmetrize::never labels follow directed reachability. A pointer jump
+// keeps those labels (label[label[v]] also reaches v); a jump that also
+// hooked a neighbour's old label onto the pushed one would not, and this is
+// the test that tells them apart.
+TEST(ApiCc, DirectedLabelsEqualMinReachingIdUnderEveryVariant) {
+  constexpr auto kNever = adaptive::Symmetrize::never;
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    const std::vector<std::pair<std::string, graph::Csr>> graphs{
+        {"er", graph::gen::erdos_renyi(1500, 1800 + 300 * seed, seed)},
+        {"chain", oriented_path_digraph(2000, seed)}};
+    for (const auto& [name, csr] : graphs) {
+      const std::string where = name + " seed " + std::to_string(seed);
+      const auto want = min_reaching_id(csr);
+      const auto g = adaptive::Graph::from_csr(graph::Csr(csr));
+      ASSERT_FALSE(g.is_symmetric()) << where;
+      simt::Device dev;
+      const auto adapt = adaptive::cc(
+          dev, g, adaptive::Policy::adapt().with_symmetrize(kNever));
+      ASSERT_TRUE(adapt.ok()) << where;
+      EXPECT_EQ(adapt.component, want) << where << " adaptive";
+      for (const Variant v : cc_variants()) {
+        const auto got = adaptive::cc(
+            dev, g, adaptive::Policy::fixed(v).with_symmetrize(kNever));
+        ASSERT_TRUE(got.ok()) << where;
+        EXPECT_EQ(got.component, want) << where << " " << gg::variant_name(v);
+      }
+    }
+  }
+}
+
+// Label propagation alone needs one sweep per hop of diameter; with pointer
+// jumping a road lattice converges in a small fraction of its BFS depth.
+TEST(GpuCc, RoadLatticeConvergesInAQuarterOfItsBfsDepth) {
+  const auto& gc = test_graphs()[2];
+  ASSERT_STREQ(gc.name, "road");
+  const std::uint32_t bfs_levels = cpu::bfs(gc.csr, 0).counts.levels + 1;
+  const auto want = cpu::connected_components(gc.csr);
+  for (const Variant v : cc_variants()) {
+    simt::Device dev;
+    const auto got = gg::run_cc(dev, gc.csr, v);
+    EXPECT_EQ(got.component, want.component) << gg::variant_name(v);
+    EXPECT_LE(4 * got.metrics.iterations.size(), bfs_levels)
+        << gg::variant_name(v) << ": " << got.metrics.iterations.size()
+        << " iterations for " << bfs_levels << " BFS levels";
+  }
+  simt::Device dev;
+  const auto got = rt::adaptive_cc(dev, gc.csr);
+  EXPECT_EQ(got.component, want.component);
+  EXPECT_LE(4 * got.metrics.iterations.size(), bfs_levels)
+      << "adaptive: " << got.metrics.iterations.size() << " iterations for "
+      << bfs_levels << " BFS levels";
 }
 
 }  // namespace

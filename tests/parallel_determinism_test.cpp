@@ -270,6 +270,21 @@ TEST_F(EngineDeterminism, ConnectedComponents) {
   });
 }
 
+// The road lattice takes many pointer jumps per sweep, under each mapping.
+TEST_F(EngineDeterminism, ConnectedComponentsWithPointerJumps) {
+  for (const char* vname : {"U_T_QU", "U_B_BM", "U_W_QU"}) {
+    SCOPED_TRACE(vname);
+    const gg::Variant v = gg::parse_variant(vname);
+    expect_thread_invariant([&](simt::Device& dev, Capture& run) {
+      auto r = gg::run_cc(dev, road(), v);
+      run.ints = std::move(r.component);
+      run.ints.push_back(r.num_components);
+      run.ints.push_back(static_cast<std::uint32_t>(r.metrics.iterations.size()));
+      run.floats.push_back(static_cast<float>(r.metrics.total_us));
+    });
+  }
+}
+
 TEST(SimThreadsConfig, EnvVariableIsHonored) {
   simt::ExecPool::set_threads(0);  // fall back to env resolution
   ASSERT_EQ(setenv("SIMT_THREADS", "3", /*overwrite=*/1), 0);
