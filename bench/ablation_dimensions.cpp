@@ -40,14 +40,14 @@ int main(int argc, char** argv) {
 
   auto frozen_mapping = [&](gg::Mapping m) {
     return [=](const gg::SelectorInput& in) {
-      auto v = full(in);
+      gg::Variant v = full(in).variant;
       v.mapping = m;
       return v;
     };
   };
   auto frozen_repr = [&](gg::WorksetRepr w) {
     return [=](const gg::SelectorInput& in) {
-      auto v = full(in);
+      gg::Variant v = full(in).variant;
       v.repr = w;
       return v;
     };

@@ -6,7 +6,10 @@
 // Having both mechanisms in one framework lets us measure what each is
 // worth: small frontiers run serially on the host (no launch/readback
 // overhead), large ones on the device, with state-array transfers at each
-// switch.
+// switch. The GPU-only column is the default adaptive policy, whose fused
+// iteration loop already runs small device iterations without relaunches or
+// readbacks (DESIGN.md "Fused iteration loop"), so the gain column is what
+// the host hybrid adds on top of fusion.
 #include <cstdio>
 
 #include "bench_util.h"
@@ -16,7 +19,7 @@
 namespace {
 
 void run_algo(bench::Algo algo, const bench::Options& opts) {
-  agg::Table table({"Network", "adaptive GPU (ms)", "hybrid (ms)", "gain",
+  agg::Table table({"Network", "adaptive, fused (ms)", "hybrid (ms)", "gain",
                     "CPU iters", "GPU iters"});
   for (const auto id : opts.datasets) {
     const auto d = bench::load_dataset(id, opts.scale, opts.cache_dir);

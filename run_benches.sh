@@ -43,6 +43,10 @@ mkdir -p results
         # Archive the fleet-serving acceptance numbers (replicated makespan
         # scaling, failover, sharded execution) as a diffable artifact.
         "$b" | tee results/BENCH_fleet.txt
+      elif [ "$(basename "$b")" = ext_hybrid ]; then
+        # Archive the host-hybrid vs fused-device-loop comparison (adaptive
+        # fused GPU-only time, hybrid time, host/device iteration split).
+        "$b" | tee results/BENCH_hybrid.txt
       elif [ "$(basename "$b")" = ext_cc ]; then
         # Archive the connected-components numbers (speedups over union-find,
         # adaptive modeled time and sweep counts) as a diffable artifact.

@@ -38,20 +38,39 @@ const char* sourced_query_error(const Graph& g, NodeId source,
   return nullptr;
 }
 
-rt::Query cc_query(const Graph& g, const Policy& policy, bool of_symmetrized) {
+namespace {
+
+rt::Query policy_query(const Policy& policy) {
   rt::Query q;
   if (policy.mode == Policy::Mode::fixed_variant) q.fixed = policy.variant;
   q.options = policy.options;
-  if (policy.wants_rep()) q.rel = &g.relabelled_view(of_symmetrized);
+  return q;
+}
+
+}  // namespace
+
+rt::Query cc_query(const Graph& g, const Policy& policy, bool of_symmetrized) {
+  rt::Query q = policy_query(policy);
+  if (policy.wants_rep()) {
+    // CC on a digraph runs plain (rt::run_cc): no relabelled view to build.
+    q.symmetric = of_symmetrized || g.is_symmetric();
+    if (*q.symmetric) q.rel = &g.relabelled_view(of_symmetrized);
+  }
   return q;
 }
 
 rt::Query runtime_query(const Graph& g, const Policy& policy) {
-  rt::Query q = cc_query(g, policy, /*of_symmetrized=*/false);
+  rt::Query q = policy_query(policy);
+  if (policy.wants_rep()) q.rel = &g.relabelled_view();
   // Pull iterations gather over the CSC; the Graph's cached host copy saves
   // the engine a transpose per query.
   if (policy.wants_pull()) q.options.engine.csc = &g.csc();
   return q;
+}
+
+cpu::CcResult cpu_cc(const Graph& g, const graph::Csr& csr) {
+  return &csr != &g.csr() || g.is_symmetric() ? cpu::connected_components(csr)
+                                               : cpu::min_reaching_ids(csr);
 }
 
 }  // namespace detail
@@ -213,7 +232,7 @@ CcResult cc(simt::Device& dev, const Graph& g, const Policy& policy) {
   CcResult out;
   switch (policy.mode) {
     case Policy::Mode::cpu_serial: {
-      cpu::CcResult r = cpu::connected_components(csr);
+      cpu::CcResult r = detail::cpu_cc(g, csr);
       out.component = std::move(r.component);
       out.num_components = r.num_components;
       out.cpu_wall_ms = r.wall_ms;

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "api/graph_api.h"
+#include "cpu/cc_serial.h"
 #include "gpu_graph/metrics.h"
 #include "gpu_graph/variant.h"
 #include "runtime/adaptive_engine.h"
@@ -280,6 +281,11 @@ rt::Query runtime_query(const Graph& g, const Policy& policy);
 // `of_symmetrized`). CC only scatters, so the query carries no CSC and
 // building one is never triggered. Callers pass it to rt::run_cc.
 rt::Query cc_query(const Graph& g, const Policy& policy, bool of_symmetrized);
+
+// The serial answer of a CC query on `csr`, which is `g`'s CSR or its
+// symmetrized closure: union-find components on symmetric input, else
+// min-reaching-id labels, the meaning every GPU variant and layout has.
+cpu::CcResult cpu_cc(const Graph& g, const graph::Csr& csr);
 
 }  // namespace detail
 

@@ -65,4 +65,31 @@ CcResult connected_components(const graph::Csr& g) {
   return r;
 }
 
+CcResult min_reaching_ids(const graph::Csr& g) {
+  CcResult r;
+  const auto t0 = std::chrono::steady_clock::now();
+  r.component.assign(g.num_nodes, graph::kInfinity);
+  std::vector<std::uint32_t> stack;
+  for (std::uint32_t s = 0; s < g.num_nodes; ++s) {
+    if (r.component[s] != graph::kInfinity) continue;
+    r.component[s] = s;
+    ++r.num_components;
+    stack.push_back(s);
+    while (!stack.empty()) {
+      const std::uint32_t u = stack.back();
+      stack.pop_back();
+      for (const graph::NodeId t : g.neighbors(u)) {
+        ++r.counts.edges_scanned;
+        if (r.component[t] == graph::kInfinity) {
+          r.component[t] = s;
+          stack.push_back(t);
+        }
+      }
+    }
+  }
+  const auto t1 = std::chrono::steady_clock::now();
+  r.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
+  return r;
+}
+
 }  // namespace cpu

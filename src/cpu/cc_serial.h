@@ -25,4 +25,13 @@ struct CcResult {
 
 CcResult connected_components(const graph::Csr& g);
 
+// CC labels that follow arc direction, the GPU engines' answer on an
+// asymmetric graph: component[v] = the smallest id u with a directed path
+// u -> v (v itself included). One O(n + m) sweep: sources in increasing id,
+// each expanding only still-unlabelled nodes, since a node reached through
+// a labelled one already carries a smaller reaching id. On a symmetric graph
+// it equals connected_components(g).component. num_components counts the
+// nodes that are their own label; counts.edges_scanned the arcs scanned.
+CcResult min_reaching_ids(const graph::Csr& g);
+
 }  // namespace cpu

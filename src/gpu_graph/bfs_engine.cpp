@@ -232,10 +232,17 @@ GpuBfsResult run_bfs(simt::Device& dev, DeviceGraph& dg, const graph::Csr& g,
   sel.frontier_edges = g.degree(source);
   sel.unexplored_edges = unexplored_edges;
   sel.direction = Direction::push;
-  Variant variant = normalize_direction(selector(sel));
-  ws.init_source(dev, source, variant.repr);
 
   std::vector<std::uint32_t> frontier{source};
+  const bool hybrid = opts.hybrid_cpu_threshold > 0;
+  bool on_cpu = hybrid && frontier.size() < opts.hybrid_cpu_threshold;
+  sel.csc_resident = dg.csc_resident(/*with_weights=*/false);
+  sel.host_phase = on_cpu;
+  const Selection first = selector(sel);
+  Variant variant = normalize_direction(first.variant);
+  bool fused = first.fused;
+  ws.init_source(dev, source, variant.repr);
+
   std::vector<std::uint32_t> updated;
   BfsKernelState st{&level, &dg, &ws, &updated,
                     variant.ordering == Ordering::ordered};
@@ -244,8 +251,7 @@ GpuBfsResult run_bfs(simt::Device& dev, DeviceGraph& dg, const graph::Csr& g,
       opts.max_iterations ? opts.max_iterations
                           : 4ull * g.num_nodes + 64;
 
-  const bool hybrid = opts.hybrid_cpu_threshold > 0;
-  bool on_cpu = hybrid && frontier.size() < opts.hybrid_cpu_threshold;
+  FusedLoop loop(dev, ws, opts.thread_tpb);
   if (on_cpu) {
     // Entering a CPU phase: download the state array (Hong et al. [13]-style
     // hybrid execution keeps host and device copies in sync at switches).
@@ -257,6 +263,7 @@ GpuBfsResult run_bfs(simt::Device& dev, DeviceGraph& dg, const graph::Csr& g,
     ++iteration;
     AGG_CHECK_MSG(iteration <= max_iters, "BFS failed to converge");
     const double t_iter = dev.now_us();
+    loop.begin(fused && !on_cpu);
 
     st.ordered = variant.ordering == Ordering::ordered;
     std::uint64_t frontier_edges = 0;
@@ -282,10 +289,7 @@ GpuBfsResult run_bfs(simt::Device& dev, DeviceGraph& dg, const graph::Csr& g,
           }
         }
       }
-      dev.account_host_compute(
-          (static_cast<double>(frontier.size()) * opts.hybrid_cpu_cycles_per_node +
-           static_cast<double>(frontier_edges) * opts.hybrid_cpu_cycles_per_edge) /
-          (opts.hybrid_cpu_clock_ghz * 1e3));
+      dev.account_host_compute(host_phase_us(frontier.size(), frontier_edges));
     } else if (variant.direction == Direction::pull) {
       // Gather iteration: make the CSC resident (first pull pays the
       // transfer; Session pins keep it across queries), run the dense pull
@@ -295,16 +299,12 @@ GpuBfsResult run_bfs(simt::Device& dev, DeviceGraph& dg, const graph::Csr& g,
       ensure_csc_resident(dev, dg, g, opts.csc, /*with_weights=*/false,
                           csc_scratch);
       launch_pull(dev, st, opts.thread_tpb);
-      ws.charge_changed_flag_readback(dev);
+      loop.readback(WorksetRepr::bitmap);
       ws.clear_frontier_bitmap(dev, frontier);
     } else {
       launch_computation(dev, st, variant, frontier, opts.thread_tpb, block_tpb);
       // Per-iteration termination signal (Fig. 8 line 4).
-      if (variant.repr == WorksetRepr::queue) {
-        ws.charge_queue_len_readback(dev);
-      } else {
-        ws.charge_changed_flag_readback(dev);
-      }
+      loop.readback(variant.repr);
     }
     std::sort(updated.begin(), updated.end());
 
@@ -323,6 +323,7 @@ GpuBfsResult run_bfs(simt::Device& dev, DeviceGraph& dg, const graph::Csr& g,
 
     // Decision point (Sec. VI.E): sampled working-set monitoring + selector.
     Variant next = variant;
+    bool next_fused = fused;
     if (opts.monitor_interval > 0 && iteration % opts.monitor_interval == 0) {
       if (!on_cpu && variant.repr == WorksetRepr::bitmap) {
         ws.charge_bitmap_count_kernel(dev);  // queue mode: size known from tail
@@ -332,9 +333,13 @@ GpuBfsResult run_bfs(simt::Device& dev, DeviceGraph& dg, const graph::Csr& g,
       sel.frontier_edges = next_frontier_edges;
       sel.unexplored_edges = unexplored_edges;
       sel.direction = variant.direction;
+      sel.csc_resident = dg.csc_resident(/*with_weights=*/false);
+      sel.host_phase = next_on_cpu;
       ++result.metrics.decisions;
-      next = normalize_direction(selector(sel));
+      const Selection chosen = selector(sel);
+      next = normalize_direction(chosen.variant);
       next.ordering = variant.ordering;  // ordering is fixed per traversal
+      next_fused = chosen.fused;
       if (!on_cpu && next != variant) ++result.metrics.switches;
     }
 
@@ -359,14 +364,16 @@ GpuBfsResult run_bfs(simt::Device& dev, DeviceGraph& dg, const graph::Csr& g,
       // CPU phase: clear the flags functionally (the host owns the state).
       for (const std::uint32_t v : updated) ws.update().host_view()[v] = 0;
     }
+    loop.end(next_fused && !next_on_cpu, !updated.empty(), next.repr);
 
     record_iteration(result.metrics, "bfs",
                      {iteration, frontier.size(), variant,
-                      dev.now_us() - t_iter, on_cpu},
+                      dev.now_us() - t_iter, on_cpu, loop.fused()},
                      dev.now_us());
     frontier.swap(updated);
     updated.clear();
     variant = next;
+    fused = next_fused;
     on_cpu = next_on_cpu;
   }
 

@@ -215,7 +215,7 @@ GpuBfsMultiResult run_bfs_multi(simt::Device& dev, DeviceGraph& dg,
   sel.avg_outdegree = dg.avg_outdegree;
   sel.outdeg_stddev = dg.outdeg_stddev;
   sel.num_nodes = g.num_nodes;
-  Variant variant = selector(sel);
+  Variant variant = selector(sel).variant;
   variant.ordering = Ordering::unordered;  // lockstep masks have no ordered form
   for (const std::uint32_t v : frontier) {
     // Materialize the initial working set in `variant.repr` form through the
@@ -265,7 +265,7 @@ GpuBfsMultiResult run_bfs_multi(simt::Device& dev, DeviceGraph& dg,
       sel.iteration = iteration;
       sel.ws_size = updated.size();
       ++result.metrics.decisions;
-      next = selector(sel);
+      next = selector(sel).variant;
       next.ordering = Ordering::unordered;
       if (next != variant) ++result.metrics.switches;
     }

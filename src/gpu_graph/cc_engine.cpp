@@ -185,8 +185,10 @@ GpuCcResult run_cc(simt::Device& dev, DeviceGraph& dg, const graph::Csr& g,
   sel.avg_outdegree = dg.avg_outdegree;
   sel.outdeg_stddev = dg.outdeg_stddev;
   sel.num_nodes = g.num_nodes;
-  Variant variant = selector(sel);
+  const Selection first = selector(sel);
+  Variant variant = first.variant;
   variant.ordering = Ordering::unordered;
+  bool fused = first.fused;
 
   // Initial working set = all nodes, produced by the generation kernel from
   // a fully-set update vector.
@@ -204,11 +206,13 @@ GpuCcResult run_cc(simt::Device& dev, DeviceGraph& dg, const graph::Csr& g,
   const std::uint64_t max_iters =
       opts.max_iterations ? opts.max_iterations : 4ull * g.num_nodes + 64;
 
+  FusedLoop loop(dev, ws, opts.thread_tpb);
   std::uint32_t iteration = 0;
   while (!frontier.empty()) {
     ++iteration;
     AGG_CHECK_MSG(iteration <= max_iters, "CC failed to converge");
     const double t_iter = dev.now_us();
+    loop.begin(fused);
 
     launch_cc(dev, st, variant, frontier, opts.thread_tpb, block_tpb);
     for (const std::uint32_t v : frontier) {
@@ -216,13 +220,10 @@ GpuCcResult run_cc(simt::Device& dev, DeviceGraph& dg, const graph::Csr& g,
     }
     std::sort(updated.begin(), updated.end());
 
-    if (variant.repr == WorksetRepr::queue) {
-      ws.charge_queue_len_readback(dev);
-    } else {
-      ws.charge_changed_flag_readback(dev);
-    }
+    loop.readback(variant.repr);
 
     Variant next = variant;
+    bool next_fused = fused;
     if (opts.monitor_interval > 0 && iteration % opts.monitor_interval == 0) {
       if (variant.repr == WorksetRepr::bitmap) {
         ws.charge_bitmap_count_kernel(dev);
@@ -230,8 +231,10 @@ GpuCcResult run_cc(simt::Device& dev, DeviceGraph& dg, const graph::Csr& g,
       sel.iteration = iteration;
       sel.ws_size = updated.size();
       ++result.metrics.decisions;
-      next = selector(sel);
+      const Selection chosen = selector(sel);
+      next = chosen.variant;
       next.ordering = Ordering::unordered;
+      next_fused = chosen.fused;
       if (next != variant) ++result.metrics.switches;
     }
 
@@ -240,14 +243,16 @@ GpuCcResult run_cc(simt::Device& dev, DeviceGraph& dg, const graph::Csr& g,
                   opts.scan_queue_gen ? Workset::GenMethod::scan
                                       : Workset::GenMethod::atomic);
     }
+    loop.end(next_fused, !updated.empty(), next.repr);
 
     record_iteration(result.metrics, "cc",
                      {iteration, frontier.size(), variant,
-                      dev.now_us() - t_iter},
+                      dev.now_us() - t_iter, false, loop.fused()},
                      dev.now_us());
     frontier.swap(updated);
     updated.clear();
     variant = next;
+    fused = next_fused;
   }
 
   result.component.resize(g.num_nodes);

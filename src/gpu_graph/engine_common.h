@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <functional>
 
+#include "cpu/cpu_cost_model.h"
 #include "gpu_graph/variant.h"
 #include "simt/stream.h"
 
@@ -45,10 +46,8 @@ struct EngineOptions {
   // `hybrid_cpu_threshold` are processed serially on the host, skipping the
   // kernel-launch + readback overhead that dominates small iterations.
   // Switching direction pays a full state-array transfer. 0 = disabled.
+  // Host phases are priced by host_phase_us below.
   std::uint64_t hybrid_cpu_threshold = 0;
-  double hybrid_cpu_clock_ghz = 3.4;
-  double hybrid_cpu_cycles_per_edge = 14.0;
-  double hybrid_cpu_cycles_per_node = 8.0;
 
   // Host CSC (graph::build_csc) for pull iterations. When null and a pull
   // iteration occurs, the engine builds the transpose itself (one-shot
@@ -75,9 +74,24 @@ struct SelectorInput {
   std::uint64_t frontier_edges = 0;
   std::uint64_t unexplored_edges = 0;
   Direction direction = Direction::push;
+  // Fused-loop inputs: whether the traversal's CSC is device resident (a
+  // pull iteration otherwise starts with its upload, a host step) and
+  // whether the next iteration is a hybrid host phase.
+  bool csc_resident = false;
+  bool host_phase = false;
 };
 
-using VariantSelector = std::function<Variant(const SelectorInput&)>;
+// A selector's answer: the variant of the next iteration and whether that
+// iteration runs inside the persistent kernel of the fused iteration loop
+// (FusedLoop, workset.h). Implicit from a Variant, so fixed and hand-written
+// selectors keep per-iteration launches.
+struct Selection {
+  Selection(Variant v, bool f = false) : variant(v), fused(f) {}
+  Variant variant;
+  bool fused = false;
+};
+
+using VariantSelector = std::function<Selection(const SelectorInput&)>;
 
 inline VariantSelector fixed_variant(Variant v) {
   return [v](const SelectorInput&) { return v; };
@@ -101,5 +115,15 @@ inline Variant normalize_direction(Variant v) {
 
 // Paper Sec. VII.A block size rule.
 std::uint32_t derive_block_tpb(double avg_outdegree);
+
+// Modeled time of one hybrid host phase that scans `nodes` frontier nodes
+// and their `edges` out-arcs, priced with the serial BFS terms of
+// cpu::CpuModel::core_i7().
+inline double host_phase_us(std::uint64_t nodes, std::uint64_t edges) {
+  const cpu::CpuModel& m = cpu::CpuModel::core_i7();
+  return (static_cast<double>(nodes) * m.bfs_cycles_per_node +
+          static_cast<double>(edges) * m.bfs_cycles_per_edge) /
+         (m.clock_ghz * 1e3);
+}
 
 }  // namespace gg

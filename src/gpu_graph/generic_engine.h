@@ -85,7 +85,7 @@ GenericResult run_frontier(simt::Device& dev, const graph::Csr& g,
   sel.avg_outdegree = dg.avg_outdegree;
   sel.outdeg_stddev = dg.outdeg_stddev;
   sel.num_nodes = g.num_nodes;
-  Variant variant = selector(sel);
+  Variant variant = selector(sel).variant;
   variant.ordering = Ordering::unordered;
 
   std::vector<std::uint32_t> frontier = std::move(initial);
@@ -212,7 +212,7 @@ GenericResult run_frontier(simt::Device& dev, const graph::Csr& g,
       sel.iteration = iteration;
       sel.ws_size = updated.size();
       ++result.metrics.decisions;
-      next = selector(sel);
+      next = selector(sel).variant;
       next.ordering = Ordering::unordered;
       if (next != variant) ++result.metrics.switches;
     }

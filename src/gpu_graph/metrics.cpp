@@ -43,6 +43,7 @@ std::string TraversalMetrics::to_json() const {
     w.field("variant", variant_name(it.variant));
     w.field("time_us", it.time_us);
     w.field("on_cpu", it.on_cpu);
+    w.field("fused", it.fused);
     w.end_object();
   }
   w.end_array();
@@ -62,6 +63,7 @@ void record_iteration(TraversalMetrics& m, const char* algo,
     ev.ws_size = rec.ws_size;
     ev.variant = variant_name(rec.variant);
     ev.on_cpu = rec.on_cpu;
+    ev.fused = rec.fused;
     ev.start_us = end_us - rec.time_us;
     ev.dur_us = rec.time_us;
     tracer.iteration(ev);

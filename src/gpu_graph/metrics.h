@@ -18,6 +18,7 @@ struct IterationRecord {
   Variant variant;             // implementation used this iteration
   double time_us = 0;          // modeled device + sync time of this iteration
   bool on_cpu = false;         // hybrid execution: processed on the host
+  bool fused = false;          // ran inside the fused loop's persistent kernel
 };
 
 struct TraversalMetrics {

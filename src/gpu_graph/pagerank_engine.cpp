@@ -194,7 +194,7 @@ GpuPageRankResult run_pagerank(simt::Device& dev, DeviceGraph& dg,
   sel.avg_outdegree = dg.avg_outdegree;
   sel.outdeg_stddev = dg.outdeg_stddev;
   sel.num_nodes = g.num_nodes;
-  Variant variant = selector(sel);
+  Variant variant = selector(sel).variant;
   variant.ordering = Ordering::unordered;
 
   std::vector<std::uint32_t> frontier(g.num_nodes);
@@ -253,7 +253,7 @@ GpuPageRankResult run_pagerank(simt::Device& dev, DeviceGraph& dg,
       sel.iteration = iteration;
       sel.ws_size = updated.size();
       ++result.metrics.decisions;
-      next = selector(sel);
+      next = selector(sel).variant;
       next.ordering = Ordering::unordered;
       if (next != variant) ++result.metrics.switches;
     }

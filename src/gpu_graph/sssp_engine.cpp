@@ -176,11 +176,13 @@ void launch_pull_unordered(simt::Device& dev, UnorderedState& st,
 
 GpuSsspResult run_unordered(simt::Device& dev, DeviceGraph& dg,
                             const graph::Csr& g, graph::NodeId source,
-                            Variant variant, const VariantSelector& selector,
+                            const Selection& first,
+                            const VariantSelector& selector,
                             const EngineOptions& opts) {
   const simt::DeviceStats stats_before = dev.stats();
   const double t_begin = dev.now_us();
-  variant = normalize_direction(variant);
+  Variant variant = normalize_direction(first.variant);
+  bool fused = first.fused;
 
   GpuSsspResult result;
   const std::uint32_t block_tpb =
@@ -218,11 +220,13 @@ GpuSsspResult run_unordered(simt::Device& dev, DeviceGraph& dg,
     dev.account_transfer(4ull * g.num_nodes, /*to_device=*/false);
   }
 
+  FusedLoop loop(dev, ws, opts.thread_tpb);
   std::uint32_t iteration = 0;
   while (!frontier.empty()) {
     ++iteration;
     AGG_CHECK_MSG(iteration <= max_iters, "SSSP failed to converge");
     const double t_iter = dev.now_us();
+    loop.begin(fused && !on_cpu);
 
     std::uint64_t frontier_edges = 0;
     for (const std::uint32_t v : frontier) frontier_edges += g.degree(v);
@@ -248,30 +252,26 @@ GpuSsspResult run_unordered(simt::Device& dev, DeviceGraph& dg,
           }
         }
       }
-      dev.account_host_compute(
-          (static_cast<double>(frontier.size()) * opts.hybrid_cpu_cycles_per_node +
-           static_cast<double>(frontier_edges) * opts.hybrid_cpu_cycles_per_edge) /
-          (opts.hybrid_cpu_clock_ghz * 1e3));
+      dev.account_host_compute(host_phase_us(frontier.size(), frontier_edges));
     } else if (variant.direction == Direction::pull) {
       ensure_csc_resident(dev, dg, g, opts.csc, /*with_weights=*/true,
                           csc_scratch);
       launch_pull_unordered(dev, st, opts.thread_tpb);
-      ws.charge_changed_flag_readback(dev);
+      loop.readback(WorksetRepr::bitmap);
       ws.clear_frontier_bitmap(dev, frontier);
     } else {
       launch_unordered(dev, st, variant, frontier, opts.thread_tpb, block_tpb);
-      if (variant.repr == WorksetRepr::queue) {
-        ws.charge_queue_len_readback(dev);
-      } else {
-        ws.charge_changed_flag_readback(dev);
-      }
+      loop.readback(variant.repr);
     }
     std::sort(updated.begin(), updated.end());
 
     std::uint64_t next_frontier_edges = 0;
     for (const std::uint32_t v : updated) next_frontier_edges += g.degree(v);
 
+    const bool next_on_cpu =
+        hybrid && updated.size() < opts.hybrid_cpu_threshold;
     Variant next = variant;
+    bool next_fused = fused;
     if (opts.monitor_interval > 0 && iteration % opts.monitor_interval == 0) {
       if (!on_cpu && variant.repr == WorksetRepr::bitmap) {
         ws.charge_bitmap_count_kernel(dev);
@@ -280,14 +280,16 @@ GpuSsspResult run_unordered(simt::Device& dev, DeviceGraph& dg,
       sel.ws_size = updated.size();
       sel.frontier_edges = next_frontier_edges;
       sel.direction = variant.direction;
+      sel.csc_resident = dg.csc_resident(/*with_weights=*/true);
+      sel.host_phase = next_on_cpu;
       ++result.metrics.decisions;
-      next = normalize_direction(selector(sel));
+      const Selection chosen = selector(sel);
+      next = normalize_direction(chosen.variant);
       next.ordering = Ordering::unordered;
+      next_fused = chosen.fused;
       if (!on_cpu && next != variant) ++result.metrics.switches;
     }
 
-    const bool next_on_cpu =
-        hybrid && updated.size() < opts.hybrid_cpu_threshold;
     // Host phases are scalar scatter loops; direction only applies on device.
     if (next_on_cpu) next.direction = Direction::push;
     if (on_cpu != next_on_cpu) {
@@ -306,14 +308,16 @@ GpuSsspResult run_unordered(simt::Device& dev, DeviceGraph& dg,
     } else if (!updated.empty()) {
       for (const std::uint32_t v : updated) ws.update().host_view()[v] = 0;
     }
+    loop.end(next_fused && !next_on_cpu, !updated.empty(), next.repr);
 
     record_iteration(result.metrics, "sssp",
                      {iteration, frontier.size(), variant,
-                      dev.now_us() - t_iter, on_cpu},
+                      dev.now_us() - t_iter, on_cpu, loop.fused()},
                      dev.now_us());
     frontier.swap(updated);
     updated.clear();
     variant = next;
+    fused = next_fused;
     on_cpu = next_on_cpu;
   }
 
@@ -557,7 +561,10 @@ GpuSsspResult run_sssp(simt::Device& dev, DeviceGraph& dg, const graph::Csr& g,
   sel.frontier_edges = g.degree(source);
   // Flat gather-volume proxy; see run_unordered for why SSSP reports 2m.
   sel.unexplored_edges = 2 * dg.num_edges;
-  Variant initial = selector(sel);
+  sel.csc_resident = dg.csc_resident(/*with_weights=*/true);
+  sel.host_phase = opts.hybrid_cpu_threshold > 1;  // a one-node frontier
+  const Selection first = selector(sel);
+  Variant initial = first.variant;
   if (initial.ordering == Ordering::ordered) {
     AGG_CHECK_MSG(initial.mapping != Mapping::warp,
                   "warp-centric mapping is an unordered-only extension");
@@ -566,7 +573,7 @@ GpuSsspResult run_sssp(simt::Device& dev, DeviceGraph& dg, const graph::Csr& g,
     initial.direction = Direction::push;
     return run_ordered(dev, dg, g, source, initial, opts);
   }
-  return run_unordered(dev, dg, g, source, initial, selector, opts);
+  return run_unordered(dev, dg, g, source, first, selector, opts);
 }
 
 }  // namespace gg

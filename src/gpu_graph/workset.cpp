@@ -150,8 +150,10 @@ void Workset::charge_bitmap_count_kernel(simt::Device& dev) const {
   ks.time_us = std::max({ks.sm_time_us, ks.bw_time_us, ks.atomic_time_us}) +
                dev.timing().launch_overhead_us;
   dev.account_kernel(ks);
-  // Count readback.
-  dev.account_transfer(sizeof(std::uint32_t), /*to_device=*/false);
+  // Count readback, unless the device consumes the count itself.
+  if (!dev.in_persistent()) {
+    dev.account_transfer(sizeof(std::uint32_t), /*to_device=*/false);
+  }
 }
 
 }  // namespace gg

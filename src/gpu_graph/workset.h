@@ -62,10 +62,20 @@ class Workset {
   //    next grid size) — charge_queue_len_readback();
   //  * bitmap mode: termination uses a 4-byte changed-flag readback; the
   //    exact working-set size requires the extra population-count kernel,
-  //    charged only on sampled iterations — charge_bitmap_count_kernel().
+  //    charged only on sampled iterations — charge_bitmap_count_kernel();
+  //  * inside a persistent kernel (FusedLoop below) the device reads its
+  //    own counter, so the count kernel's readback is not charged.
   void charge_queue_len_readback(simt::Device& dev) const;
   void charge_changed_flag_readback(simt::Device& dev) const;
   void charge_bitmap_count_kernel(simt::Device& dev) const;
+  // The per-iteration size readback of a `repr` working set.
+  void charge_size_readback(simt::Device& dev, WorksetRepr repr) const {
+    if (repr == WorksetRepr::queue) {
+      charge_queue_len_readback(dev);
+    } else {
+      charge_changed_flag_readback(dev);
+    }
+  }
 
   simt::DeviceBuffer<std::uint8_t>& bitmap() { return bitmap_; }
   simt::DeviceBuffer<std::uint32_t>& queue() { return queue_; }
@@ -82,6 +92,57 @@ class Workset {
   simt::DeviceBuffer<std::uint32_t> queue_len_;  // scalar
   simt::DeviceBuffer<std::uint8_t> update_;      // n flags
   simt::DeviceBuffer<std::uint32_t> changed_;    // scalar flag
+};
+
+// The persistent-kernel phases of one traversal's iteration loop (DESIGN.md
+// "Fused iteration loop"). A run of consecutive fused iterations is one
+// persistent kernel launched with `threads_per_block`: entering it pays a
+// launch, each later kernel a grid barrier instead of its launch, the device
+// reads its own working-set counter and evaluates the selector's rule, and
+// leaving it for another iteration pays the one size readback the host
+// needs. Unfused iterations charge exactly as before: a launch per kernel
+// and a readback each.
+class FusedLoop {
+ public:
+  FusedLoop(simt::Device& dev, const Workset& ws,
+            std::uint32_t threads_per_block)
+      : dev_(dev), ws_(ws), tpb_(threads_per_block) {}
+  ~FusedLoop() {
+    if (dev_.in_persistent()) dev_.leave_persistent();  // unwinding a fault
+  }
+  FusedLoop(const FusedLoop&) = delete;
+  FusedLoop& operator=(const FusedLoop&) = delete;
+
+  // Top of an iteration; `fused` is the selection for it (false for host
+  // phases). A fused iteration joins the running persistent kernel or
+  // launches one.
+  void begin(bool fused) {
+    fused_ = fused;
+    if (fused_ && !dev_.in_persistent()) dev_.enter_persistent(tpb_);
+  }
+  bool fused() const { return fused_; }
+  // The iteration's size readback (Fig. 8 line 4), after its compute kernel.
+  void readback(WorksetRepr repr) const {
+    if (!fused_) ws_.charge_size_readback(dev_, repr);
+  }
+  // Bottom of the iteration. `more`: the working set is not empty. The
+  // persistent kernel runs on into the next iteration when there is one and
+  // it `joins` (it is fused too and nothing on the host comes between);
+  // otherwise it ends here. The host reads the size back only when the
+  // traversal goes on: an exhausted working set ends the kernel itself, and
+  // the payload download waits for it.
+  void end(bool joins, bool more, WorksetRepr repr) {
+    if (fused_ && !(joins && more)) {
+      dev_.leave_persistent();
+      if (more) ws_.charge_size_readback(dev_, repr);
+    }
+  }
+
+ private:
+  simt::Device& dev_;
+  const Workset& ws_;
+  std::uint32_t tpb_;
+  bool fused_ = false;
 };
 
 }  // namespace gg

@@ -39,9 +39,9 @@ Thresholds effective_thresholds(simt::Device& dev, const AdaptiveOptions& opts) 
 // selector has no Device handle).
 void emit_decision(const Thresholds& t, std::uint32_t interval,
                    const char* algo, const gg::SelectorInput& in,
-                   const gg::Variant& chosen, std::string& prev_variant) {
+                   const gg::Selection& chosen, std::string& prev_variant) {
   auto& tracer = trace::Tracer::instance();
-  std::string name = gg::variant_name(chosen);
+  std::string name = gg::variant_name(chosen.variant);
   if (tracer.has_sinks()) {
     trace::DecisionEvent ev;
     ev.algo = algo;
@@ -55,8 +55,8 @@ void emit_decision(const Thresholds& t, std::uint32_t interval,
     ev.t3_fraction = t.t3_fraction;
     ev.t3 = static_cast<std::uint64_t>(t.t3_fraction * in.num_nodes);
     ev.skew_weight = t.skew_weight;
-    ev.direction = gg::direction_name(chosen.direction);
-    ev.representation = gg::representation_name(chosen.representation);
+    ev.direction = gg::direction_name(chosen.variant.direction);
+    ev.representation = gg::representation_name(chosen.variant.representation);
     ev.frontier_edges = in.frontier_edges;
     ev.unexplored_edges = in.unexplored_edges;
     ev.do_alpha = t.do_alpha;
@@ -65,6 +65,7 @@ void emit_decision(const Thresholds& t, std::uint32_t interval,
     ev.prev_variant = prev_variant;
     ev.variant = name;
     ev.switched = !prev_variant.empty() && prev_variant != name;
+    ev.fused = chosen.fused;
     ev.ts_us = tracer.time_us();
     tracer.decision(std::move(ev));
   }
@@ -153,7 +154,8 @@ auto run_in_layout(simt::Device& dev, gg::DeviceGraph* dg,
     selector = gg::fixed_variant(v);
   } else {
     selector = make_adaptive_selector(t, eo.monitor_interval, algo,
-                                      o.direction, kind);
+                                      o.direction, kind,
+                                      FusionCosts::of(dev, eo.thread_tpb));
   }
   if (kind == gg::Representation::plain) {
     return engine(Layout{dg, g, nullptr, std::move(selector), eo});
@@ -213,6 +215,16 @@ gg::GpuCcResult run_cc(simt::Device& dev, gg::DeviceGraph* dg,
   Query q = query;
   q.options.direction = gg::Direction::push;
   if (q.fixed) q.fixed->direction = gg::Direction::push;
+  // A directed input keeps its ids: canonicalize_cc maps symmetric
+  // components back, not min-reaching ids.
+  const gg::Representation asked =
+      q.fixed ? q.fixed->representation : q.options.representation;
+  if (asked != gg::Representation::plain &&
+      !(q.symmetric ? *q.symmetric : graph::is_symmetric(g))) {
+    q.options.representation = gg::Representation::plain;
+    if (q.fixed) q.fixed->representation = gg::Representation::plain;
+    q.rel = nullptr;
+  }
   return run_in_layout(
       dev, dg, g, q, "cc", /*with_weights=*/false, [&](const Layout& l) {
         gg::GpuCcResult r = l.dg ? gg::run_cc(dev, *l.dg, l.csr, l.selector, l.eo)
@@ -230,11 +242,12 @@ gg::VariantSelector make_adaptive_selector(const Thresholds& thresholds,
                                            std::uint32_t interval,
                                            const char* algo,
                                            gg::Direction direction,
-                                           gg::Representation representation) {
+                                           gg::Representation representation,
+                                           std::optional<FusionCosts> fusion) {
   // The engine copies the selector; the prev-variant state is shared across
   // copies so the switch flag tracks the single underlying traversal.
   auto prev = std::make_shared<std::string>();
-  return [thresholds, interval, algo, direction, representation,
+  return [thresholds, interval, algo, direction, representation, fusion,
           prev](const gg::SelectorInput& in) {
     gg::Variant v = decide(thresholds, in.ws_size, in.avg_outdegree,
                            in.num_nodes, in.outdeg_stddev);
@@ -251,10 +264,13 @@ gg::VariantSelector make_adaptive_selector(const Thresholds& thresholds,
     v.representation = representation;
     // Canonicalize before tracing so the logged variant is what executes.
     v = gg::normalize_direction(v);
+    const bool host_step =
+        in.host_phase || (v.direction == gg::Direction::pull && !in.csc_resident);
+    const gg::Selection chosen(v, fusion && decide_fused(*fusion, host_step));
     if (trace::active()) {
-      emit_decision(thresholds, interval, algo, in, v, *prev);
+      emit_decision(thresholds, interval, algo, in, chosen, *prev);
     }
-    return v;
+    return chosen;
   };
 }
 

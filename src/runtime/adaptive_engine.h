@@ -53,38 +53,50 @@ struct AdaptiveOptions {
 
 // Wraps the decision maker as an engine selector. The longer form
 // additionally publishes a trace::DecisionEvent at every decision point
-// (inputs, thresholds, chosen variant, whether the running variant switched)
-// when tracing is active; `interval` is the sampling rate R recorded in the
-// event, `algo` labels the trace stream, and `representation` (the layout
-// resolved at query start) is stamped on every chosen variant. Selector
-// copies share the prev-variant state, so the switch flag stays correct
-// however the engine stores the std::function.
+// (inputs, thresholds, chosen variant, whether the running variant switched,
+// whether the next iteration is fused) when tracing is active; `interval` is
+// the sampling rate R recorded in the event, `algo` labels the trace stream,
+// and `representation` (the layout resolved at query start) is stamped on
+// every chosen variant. With `fusion` set, every selection also carries the
+// fused-loop rule (decide_fused) over those costs; unset, nothing is fused.
+// Selector copies share the prev-variant state, so the switch flag stays
+// correct however the engine stores the std::function.
 gg::VariantSelector make_adaptive_selector(const Thresholds& thresholds);
 gg::VariantSelector make_adaptive_selector(
     const Thresholds& thresholds, std::uint32_t interval, const char* algo,
     gg::Direction direction = gg::Direction::push,
-    gg::Representation representation = gg::Representation::plain);
+    gg::Representation representation = gg::Representation::plain,
+    std::optional<FusionCosts> fusion = std::nullopt);
 
 // One BFS/SSSP/CC query through the layout-aware entry points below.
-// `fixed` set runs that variant every iteration (no decision points); unset
-// runs the adaptive selector over `options`. The layout is the fixed
-// variant's representation, else options.representation; `adaptive`
-// resolves once, at query start, through decide_representation.
+// `fixed` set runs that variant every iteration (no decision points, one
+// launch per kernel); unset runs the adaptive selector over `options`, which
+// fuses iterations into persistent kernels where decide_fused says so. The
+// layout is the fixed variant's representation, else
+// options.representation; `adaptive` resolves once, at query start, through
+// decide_representation.
 struct Query {
   std::optional<gg::Variant> fixed;
   AdaptiveOptions options;
   // The caller's cached relabelled view of the graph the query runs on
   // (adaptive::Graph keeps one); null = build one when the layout needs it.
   const graph::RelabeledGraph* rel = nullptr;
+  // CC only: whether the input CSR holds the reverse of every arc. Callers
+  // that have the answer cached pass it (adaptive::Graph does); unset, run_cc
+  // checks when the query asks for a non-plain layout.
+  std::optional<bool> symmetric;
 };
 
 // The one place layouts are handled: resolve the layout, run the engine on
 // it, map the payload back to original ids (CC labels re-canonicalized to
-// the smallest original id). `dg` null: one-shot — the engine uploads the
-// CSR of the resolved layout only, charged to the query. Otherwise `dg`
-// holds `g` resident on `dev`, and a relabelled run traverses the nested
-// resident (DeviceGraph::ensure_rep_resident, billed on the query's
-// stream), which stays pinned for later queries.
+// the smallest original id). CC on an asymmetric input always runs plain:
+// its labels are min-reaching ids (cpu::min_reaching_ids), which a
+// relabelled run would compute over the renumbered ids instead. `dg` null:
+// one-shot — the engine uploads the CSR of the resolved layout only,
+// charged to the query. Otherwise `dg` holds `g` resident on `dev`, and a
+// relabelled run traverses the nested resident
+// (DeviceGraph::ensure_rep_resident, billed on the query's stream), which
+// stays pinned for later queries.
 gg::GpuBfsResult run_bfs(simt::Device& dev, gg::DeviceGraph* dg,
                          const graph::Csr& g, graph::NodeId source,
                          const Query& q);
@@ -102,7 +114,8 @@ gg::GpuSsspResult adaptive_sssp(simt::Device& dev, const graph::Csr& g,
                                 graph::NodeId source,
                                 const AdaptiveOptions& opts = {});
 
-// Connected components (extension algorithm); the graph must be symmetric.
+// Connected components (extension algorithm); on an asymmetric graph the
+// labels are min-reaching ids (see run_cc).
 gg::GpuCcResult adaptive_cc(simt::Device& dev, const graph::Csr& g,
                             const AdaptiveOptions& opts = {});
 

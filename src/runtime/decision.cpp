@@ -1,5 +1,7 @@
 #include "runtime/decision.h"
 
+#include "simt/device.h"
+
 namespace rt {
 
 Thresholds Thresholds::for_device(const simt::DeviceProps& props,
@@ -66,6 +68,20 @@ gg::Representation decide_representation(const Thresholds& t,
     return gg::Representation::plain;
   }
   return gg::Representation::relabelled;
+}
+
+FusionCosts FusionCosts::of(const simt::Device& dev,
+                            std::uint32_t threads_per_block) {
+  FusionCosts c;
+  c.barrier_us = dev.grid_barrier_us(threads_per_block);
+  c.relaunch_us = dev.timing().launch_overhead_us;
+  c.readback_us = dev.timing().transfer_latency_us +
+                  sizeof(std::uint32_t) / (dev.props().pcie_gbps * 1e3);
+  return c;
+}
+
+bool decide_fused(const FusionCosts& c, bool host_step) {
+  return !host_step && c.barrier_us < c.relaunch_us + c.readback_us;
 }
 
 bool choose_cpu_fallback(const FallbackInput& in) {

@@ -25,6 +25,10 @@
 #include "gpu_graph/variant.h"
 #include "simt/device_props.h"
 
+namespace simt {
+class Device;
+}
+
 namespace rt {
 
 struct Thresholds {
@@ -103,6 +107,20 @@ gg::Representation decide_representation(const Thresholds& t,
                                          double avg_outdegree,
                                          double outdeg_stddev,
                                          std::uint32_t max_outdegree);
+
+// Fused-loop rule (DESIGN.md "Fused iteration loop"): the next iteration
+// runs inside the traversal's persistent kernel when one grid barrier costs
+// less than what it replaces, a relaunch plus the per-iteration size
+// readback, and no host step comes between it and the iteration before
+// (`host_step`: a pull iteration's CSC upload or a hybrid host phase).
+struct FusionCosts {
+  double barrier_us = 0;   // simt::Device::grid_barrier_us at the loop's tpb
+  double relaunch_us = 0;  // TimingModel::launch_overhead_us
+  double readback_us = 0;  // one 4-byte device-to-host transfer
+  static FusionCosts of(const simt::Device& dev, std::uint32_t threads_per_block);
+};
+
+bool decide_fused(const FusionCosts& c, bool host_step);
 
 // CPU-fallback decision for the serving layer: answer a query with the
 // serial oracle instead of launching on the device. Complements the variant

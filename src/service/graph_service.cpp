@@ -1047,7 +1047,7 @@ void GraphService::run_degraded(const PendingQuery& q, const adaptive::Graph& g,
           (q.req.policy.symmetrize == adaptive::Symmetrize::auto_detect &&
            !g.is_symmetric());
       cpu::CcResult r =
-          cpu::connected_components(needs_sym ? g.symmetrized() : g.csr());
+          adaptive::detail::cpu_cc(g, needs_sym ? g.symmetrized() : g.csr());
       dur_us = model.cc_time_us(r.counts, g.num_nodes());
       adaptive::CcResult ar;
       ar.component = std::move(r.component);

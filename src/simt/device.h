@@ -23,6 +23,9 @@ namespace simt {
 
 struct DeviceStats {
   std::uint64_t kernels_launched = 0;
+  // Kernels that ran as a later phase of a persistent kernel and paid a grid
+  // barrier instead of a launch (Device::enter_persistent).
+  std::uint64_t grid_barriers = 0;
   std::uint64_t transfers = 0;
   double kernel_time_us = 0;
   double transfer_time_us = 0;
@@ -212,20 +215,45 @@ class Device {
   void set_kernel_observer(KernelObserver obs) { observer_ = std::move(obs); }
   const KernelObserver& kernel_observer() const { return observer_; }
 
+  // ---- persistent kernel (the engines' fused iteration loop) ----
+  // One grid-wide barrier of a persistent kernel whose grid is the device's
+  // resident capacity at `threads_per_block`: B = num_sms x
+  // resident_blocks(tpb) blocks each add to one global counter and spin on a
+  // flag the last arriver sets (Xiao & Feng's atomic-counter barrier), so it
+  // costs one atomic round trip, B serialized same-address atomics and one
+  // load of the released flag: atomic_latency + B x atomic_serial +
+  // mem_latency cycles. 1.09 us on the C2070 at 192 threads per block.
+  double grid_barrier_us(std::uint32_t threads_per_block) const {
+    const double blocks = static_cast<double>(props_.num_sms) *
+                          props_.resident_blocks(threads_per_block);
+    return (tm_.atomic_latency_cycles + blocks * tm_.atomic_serial_cycles +
+            tm_.mem_latency_cycles) /
+           (props_.clock_ghz * 1e3);
+  }
+  // Between enter_persistent() and leave_persistent() every kernel runs as
+  // a phase of one persistent kernel launched with `threads_per_block`: the
+  // first pays the launch overhead as usual, each later one a grid barrier
+  // (grid_barrier_us) in its place. Work, warps and counts are unchanged.
+  void enter_persistent(std::uint32_t threads_per_block) {
+    AGG_CHECK(!persistent_);
+    persistent_ = true;
+    persistent_launched_ = false;
+    barrier_us_ = grid_barrier_us(threads_per_block);
+  }
+  void leave_persistent() { persistent_ = false; }
+  bool in_persistent() const { return persistent_; }
+
   void account_kernel(const KernelStats& ks) {
-    if (fault_armed_) check_fault(FaultKind::kernel, ks.name);
-    if (observer_) observer_(ks);
-    const double start_us = begin_op(compute_engine_, ks.time_us);
-    ++stats_.kernels_launched;
-    stats_.kernel_time_us += ks.time_us;
-    stats_.issue_cycles += ks.issue_cycles;
-    stats_.transactions += ks.transactions;
-    stats_.atomics += ks.atomics;
-    stats_.lane_work += ks.lane_work;
-    stats_.lockstep_work += ks.lockstep_work;
-    stats_.warps_executed += ks.warps_executed;
-    stats_.warps_uniform += ks.warps_uniform;
-    if (trace::active()) trace_kernel(ks, start_us);
+    if (persistent_) {
+      if (persistent_launched_) {
+        KernelStats phase = ks;
+        phase.time_us += barrier_us_ - tm_.launch_overhead_us;
+        ++stats_.grid_barriers;
+        return record_kernel(phase);
+      }
+      persistent_launched_ = true;
+    }
+    record_kernel(ks);
   }
 
   // Host-side compute on the application timeline (hybrid CPU/GPU phases).
@@ -277,6 +305,22 @@ class Device {
     return start;
   }
 
+  void record_kernel(const KernelStats& ks) {
+    if (fault_armed_) check_fault(FaultKind::kernel, ks.name);
+    if (observer_) observer_(ks);
+    const double start_us = begin_op(compute_engine_, ks.time_us);
+    ++stats_.kernels_launched;
+    stats_.kernel_time_us += ks.time_us;
+    stats_.issue_cycles += ks.issue_cycles;
+    stats_.transactions += ks.transactions;
+    stats_.atomics += ks.atomics;
+    stats_.lane_work += ks.lane_work;
+    stats_.lockstep_work += ks.lockstep_work;
+    stats_.warps_executed += ks.warps_executed;
+    stats_.warps_uniform += ks.warps_uniform;
+    if (trace::active()) trace_kernel(ks, start_us);
+  }
+
   // Returns `tm` after checking the constants the warp tracer relies on:
   // segment_bytes must be a power of two >= 4 (segment ids are a shift) and
   // stream_refetch_period >= 1 (a refetch countdown). Aborts otherwise.
@@ -310,6 +354,9 @@ class Device {
   EngineTimeline copy_engine_;
   FaultInjector injector_;
   bool fault_armed_ = false;
+  bool persistent_ = false;
+  bool persistent_launched_ = false;
+  double barrier_us_ = 0;
 };
 
 // Scoped stream selection: ops accounted while the guard lives go to `s`.

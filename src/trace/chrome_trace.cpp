@@ -105,6 +105,7 @@ void ChromeTraceSink::iteration(const IterationEvent& ev) {
   w.field("ws_size", ev.ws_size);
   w.field("variant", ev.variant);
   w.field("on_cpu", ev.on_cpu);
+  w.field("fused", ev.fused);
   w.field("seq", ev.seq);
   w.end_object();
 }
@@ -129,6 +130,7 @@ void ChromeTraceSink::decision(const DecisionEvent& ev) {
   w.field("prev_variant", ev.prev_variant);
   w.field("variant", ev.variant);
   w.field("switched", ev.switched);
+  w.field("fused", ev.fused);
   w.field("seq", ev.seq);
   w.end_object();
 }

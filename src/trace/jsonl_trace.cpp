@@ -33,6 +33,7 @@ void JsonlDecisionSink::decision(const DecisionEvent& ev) {
   w.field("prev_variant", ev.prev_variant);
   w.field("variant", ev.variant);
   w.field("switched", ev.switched);
+  w.field("fused", ev.fused);
   w.field("ts_us", ev.ts_us);
   w.field("seq", ev.seq);
   w.end_object();

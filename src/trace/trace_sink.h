@@ -68,6 +68,7 @@ struct IterationEvent {
   std::uint64_t ws_size = 0;
   std::string variant;    // paper naming, e.g. "U_T_QU"
   bool on_cpu = false;    // hybrid execution: processed on the host
+  bool fused = false;     // ran inside the fused loop's persistent kernel
   double start_us = 0;
   double dur_us = 0;
   std::uint64_t seq = 0;
@@ -117,6 +118,9 @@ struct DecisionEvent {
   std::string prev_variant;        // empty on the initial selection
   std::string variant;             // chosen
   bool switched = false;
+  // Whether the next iteration runs inside the fused loop's persistent
+  // kernel (a grid barrier instead of a relaunch and a readback).
+  bool fused = false;
   double ts_us = 0;                // modeled time of the decision
   std::uint64_t seq = 0;
 };

@@ -262,6 +262,75 @@ TEST(ApiCc, DirectedLabelsEqualMinReachingIdUnderEveryVariant) {
   }
 }
 
+// A seeded differential test: on a digraph under Symmetrize::never every CC
+// answer is the min-reaching-id labelling, whatever computed it: the serial
+// policy, every fixed variant and the adaptive policy, each asked for the
+// plain, relabelled and adaptive layouts. The RMAT digraph is large and
+// skewed enough that the adaptive layout would pick relabelled.
+TEST(ApiCc, DirectedAnswerIsTheSameUnderEveryPolicyAndLayout) {
+  constexpr auto kNever = adaptive::Symmetrize::never;
+  constexpr gg::Representation kLayouts[] = {gg::Representation::plain,
+                                             gg::Representation::relabelled,
+                                             gg::Representation::adaptive};
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    graph::gen::RmatParams rp;
+    rp.scale = 12;
+    rp.edges_per_node = 4;
+    rp.seed = seed;
+    const std::vector<std::pair<std::string, graph::Csr>> graphs{
+        {"er", graph::gen::erdos_renyi(1500, 2000, seed)},
+        {"chain", oriented_path_digraph(2000, seed)},
+        {"rmat", graph::gen::rmat(rp)}};
+    for (const auto& [name, csr] : graphs) {
+      const auto want = min_reaching_id(csr);
+      std::uint32_t want_classes = 0;
+      for (std::uint32_t v = 0; v < want.size(); ++v) want_classes += want[v] == v;
+      const auto g = adaptive::Graph::from_csr(graph::Csr(csr));
+      ASSERT_FALSE(g.is_symmetric()) << name;
+      std::vector<std::pair<std::string, adaptive::Policy>> policies{
+          {"cpu", adaptive::Policy::cpu()}};
+      for (const gg::Representation layout : kLayouts) {
+        const std::string suffix =
+            std::string("/") + gg::representation_name(layout);
+        policies.emplace_back("adaptive" + suffix,
+                              adaptive::Policy::adapt().with_representation(layout));
+        for (const Variant v : cc_variants()) {
+          policies.emplace_back(
+              gg::variant_name(v) + suffix,
+              adaptive::Policy::fixed(v).with_representation(layout));
+        }
+      }
+      simt::Device dev;
+      for (const auto& [label, policy] : policies) {
+        const auto got = adaptive::cc(dev, g, policy.with_symmetrize(kNever));
+        ASSERT_TRUE(got.ok()) << name << " seed " << seed << " " << label;
+        EXPECT_EQ(got.component, want) << name << " seed " << seed << " " << label;
+        EXPECT_EQ(got.num_components, want_classes)
+            << name << " seed " << seed << " " << label;
+      }
+    }
+  }
+}
+
+// The directed-input rule leaves symmetric input alone: a relabelled CC
+// still runs relabelled (other modeled cost, same labels).
+TEST(ApiCc, SymmetricInputKeepsTheRelabelledLayout) {
+  graph::gen::RmatParams rp;
+  rp.scale = 12;
+  rp.seed = 3;
+  const auto g = adaptive::Graph::from_csr(graph::symmetrize(graph::gen::rmat(rp)));
+  ASSERT_TRUE(g.is_symmetric());
+  simt::Device dev;
+  const auto plain = adaptive::cc(dev, g, adaptive::Policy::adapt());
+  const auto rel = adaptive::cc(
+      dev, g,
+      adaptive::Policy::adapt().with_representation(gg::Representation::relabelled));
+  ASSERT_TRUE(plain.ok() && rel.ok());
+  EXPECT_EQ(rel.component, cpu::connected_components(g.csr()).component);
+  EXPECT_EQ(rel.component, plain.component);
+  EXPECT_NE(rel.metrics.total_us, plain.metrics.total_us);
+}
+
 // Label propagation alone needs one sweep per hop of diameter; with pointer
 // jumping a road lattice converges in a small fraction of its BFS depth.
 TEST(GpuCc, RoadLatticeConvergesInAQuarterOfItsBfsDepth) {

@@ -11,6 +11,7 @@
 #include "gpu_graph/pagerank_engine.h"
 #include "gpu_graph/sssp_engine.h"
 #include "graph/gen/generators.h"
+#include "runtime/adaptive_engine.h"
 #include "simt/exec_pool.h"
 #include "simt/launch.h"
 #include "simt/primitives.h"
@@ -55,6 +56,7 @@ void expect_same_device_stats(const simt::DeviceStats& a, const simt::DeviceStat
   EXPECT_EQ(a.lockstep_work, b.lockstep_work);
   EXPECT_EQ(a.warps_executed, b.warps_executed);
   EXPECT_EQ(a.warps_uniform, b.warps_uniform);
+  EXPECT_EQ(a.grid_barriers, b.grid_barriers);
   EXPECT_EQ(a.bytes_h2d, b.bytes_h2d);
   EXPECT_EQ(a.bytes_d2h, b.bytes_d2h);
 }
@@ -283,6 +285,26 @@ TEST_F(EngineDeterminism, ConnectedComponentsWithPointerJumps) {
       run.floats.push_back(static_cast<float>(r.metrics.total_us));
     });
   }
+}
+
+// Adaptive traversals fuse their small road iterations into persistent
+// kernels; barrier charges and phase boundaries are thread-invariant too.
+TEST_F(EngineDeterminism, FusedAdaptiveTraversals) {
+  expect_thread_invariant([&](simt::Device& dev, Capture& run) {
+    rt::AdaptiveOptions ao;
+    ao.direction = gg::Direction::adaptive;
+    auto b = rt::adaptive_bfs(dev, road(), 0, ao);
+    auto s = rt::adaptive_sssp(dev, road(), 0);
+    auto c = rt::adaptive_cc(dev, graph::symmetrize(road()));
+    for (const auto* m : {&b.metrics, &s.metrics, &c.metrics}) {
+      for (const auto& it : m->iterations) run.ints.push_back(it.fused);
+      run.floats.push_back(static_cast<float>(m->total_us));
+    }
+    run.ints.insert(run.ints.end(), b.level.begin(), b.level.end());
+    run.ints.insert(run.ints.end(), s.dist.begin(), s.dist.end());
+    run.ints.insert(run.ints.end(), c.component.begin(), c.component.end());
+    EXPECT_GT(dev.stats().grid_barriers, 0u);
+  });
 }
 
 TEST(SimThreadsConfig, EnvVariableIsHonored) {

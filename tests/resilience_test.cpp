@@ -11,6 +11,7 @@
 #include "api/algorithms.h"
 #include "api/session.h"
 #include "cpu/bfs_serial.h"
+#include "cpu/cc_serial.h"
 #include "cpu/sssp_serial.h"
 #include "graph/gen/generators.h"
 #include "service/graph_service.h"
@@ -144,6 +145,48 @@ TEST(ApiResilience, SessionDegradesToCpuWhenDeviceDead) {
   EXPECT_TRUE(c.ok());
   EXPECT_TRUE(c.degraded);
   ses.unregister_graph(g);
+}
+
+// A CC that must not symmetrize a digraph has one meaning on every path:
+// min-reaching-id labels, whether the device answers or the CPU does
+// because the device is dead, in Session and in GraphService alike.
+TEST(ApiResilience, DegradedDirectedCcKeepsTheDeviceAnswer) {
+  const auto g = make_graph(1500, 2000, 3);
+  ASSERT_FALSE(g.is_symmetric());
+  const auto never =
+      adaptive::Policy::adapt().with_symmetrize(adaptive::Symmetrize::never);
+  simt::Device healthy;
+  const auto want = adaptive::cc(healthy, g, never);
+  ASSERT_TRUE(want.ok());
+  ASSERT_FALSE(want.degraded);
+  EXPECT_EQ(want.component, cpu::min_reaching_ids(g.csr()).component);
+
+  adaptive::Session ses;
+  ses.register_graph(g);
+  ses.device().set_fault_plan(plan("dead.after=1"));
+  (void)ses.bfs(g, 0);
+  ASSERT_FALSE(ses.device().healthy());
+  const auto c = ses.cc(g, never);
+  ASSERT_TRUE(c.ok());
+  EXPECT_TRUE(c.degraded);
+  EXPECT_EQ(c.component, want.component);
+  EXPECT_EQ(c.num_components, want.num_components);
+  ses.unregister_graph(g);
+
+  svc::GraphService service;
+  const auto gid = service.add_graph(make_graph(1500, 2000, 3));
+  service.set_fault_plan(plan("dead.after=1"));
+  svc::QueryRequest req;
+  req.algo = svc::Algo::cc;
+  req.graph = gid;
+  req.policy = never;
+  service.submit(bfs_req(gid, 0));
+  service.submit(req);
+  const auto outcomes = service.drain();
+  ASSERT_EQ(outcomes.size(), 2u);
+  ASSERT_TRUE(outcomes[1].ok());
+  EXPECT_TRUE(outcomes[1].degraded);
+  EXPECT_EQ(outcomes[1].cc().component, want.component);
 }
 
 // ---- serving layer: retry, degradation, typed rejection ----------------------

@@ -61,6 +61,48 @@ TEST(TraceDeterminism, ArtifactsAreByteIdenticalAcrossThreadCounts) {
   EXPECT_EQ(serial.jsonl, pooled.jsonl);
 }
 
+// Adaptive road-lattice BFS, SSSP and CC run mostly inside persistent
+// kernels: the decision log records the fused choices, and both artifacts
+// stay byte-identical across thread counts.
+Artifacts run_traced_fused_road(int threads) {
+  graph::Csr road = graph::gen::road_network(3000, 4);
+  graph::assign_symmetric_uniform_weights(road, 1, 100, 5);
+  simt::ExecPool::set_threads(threads);
+  auto& tracer = trace::Tracer::instance();
+  auto* chrome = static_cast<trace::ChromeTraceSink*>(
+      tracer.attach(std::make_unique<trace::ChromeTraceSink>("", 14)));
+  auto* jsonl = static_cast<trace::JsonlDecisionSink*>(
+      tracer.attach(std::make_unique<trace::JsonlDecisionSink>()));
+  simt::Device dev;
+  rt::AdaptiveOptions opts;
+  opts.direction = gg::Direction::adaptive;
+  Artifacts a;
+  a.metrics_total_us = rt::adaptive_bfs(dev, road, 0, opts).metrics.total_us +
+                       rt::adaptive_sssp(dev, road, 0, opts).metrics.total_us +
+                       rt::adaptive_cc(dev, road, opts).metrics.total_us;
+  a.chrome = chrome->json();
+  a.jsonl = jsonl->data();
+  tracer.clear();
+  simt::ExecPool::set_threads(1);
+  return a;
+}
+
+TEST(TraceDeterminism, FusedLoopArtifactsAreByteIdenticalAcrossThreadCounts) {
+  const Artifacts serial = run_traced_fused_road(1);
+  const Artifacts pooled = run_traced_fused_road(8);
+  for (const char* algo : {"bfs", "sssp", "cc"}) {
+    EXPECT_NE(serial.jsonl.find(std::string("\"algo\":\"") + algo +
+                                "\",\"iteration\":1,"),
+              std::string::npos)
+        << algo;
+  }
+  EXPECT_NE(serial.jsonl.find("\"fused\":true"), std::string::npos);
+  EXPECT_NE(serial.chrome.find("\"fused\":true"), std::string::npos);
+  EXPECT_EQ(serial.metrics_total_us, pooled.metrics_total_us);
+  EXPECT_EQ(serial.chrome, pooled.chrome);
+  EXPECT_EQ(serial.jsonl, pooled.jsonl);
+}
+
 TEST(TraceDeterminism, CountersAreThreadInvariant) {
   const graph::Csr g = graph::gen::erdos_renyi(4000, 40000, 9);
   auto& reg = trace::CounterRegistry::instance();

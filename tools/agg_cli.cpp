@@ -210,8 +210,15 @@ int cmd_cc(const agg::Cli& cli) {
   }
   const auto out = adaptive::cc(dev, g, policy);
   if (prof) std::printf("%s", prof->report().c_str());
-  std::printf("%s weakly-connected components\n",
-              agg::Table::fmt_int(out.num_components).c_str());
+  // Without the reverse arcs, labels follow arc direction: each node's label
+  // is the smallest id that reaches it (cpu::min_reaching_ids).
+  const char* kind =
+      g.is_symmetric() ? "connected components"
+      : policy.symmetrize == adaptive::Symmetrize::never
+          ? "min-reaching-id classes"
+          : "weakly-connected components";
+  std::printf("%s %s\n", agg::Table::fmt_int(out.num_components).c_str(),
+              kind);
   print_metrics(out.metrics, out.cpu_wall_ms);
   return 0;
 }
