@@ -3,7 +3,9 @@
 // paper's four static dimensions all scatter along out-edges; this measures
 // what the 4th adaptive dimension buys on frontier-heavy (heavy-tailed)
 // graphs, where one or two saturated iterations dominate the traversal and
-// gathering along in-edges skips the contended atomics.
+// gathering along in-edges skips the contended atomics. SSSP has no gather
+// kernel (it lost to push everywhere) and runs push under every direction,
+// so its three columns must be equal.
 //
 // Times are measured in the serving regime (cf. Session pinning): the CSR —
 // and, for runs that may gather, the CSC — is device-resident before the
@@ -46,10 +48,11 @@ DirRun run_one(bench::Algo algo, const graph::gen::Dataset& d,
   const bool with_weights = algo == bench::Algo::sssp;
   auto dg = gg::DeviceGraph::upload(dev, d.csr, with_weights);
   std::optional<graph::Csr> scratch;
-  if (direction != gg::Direction::push) {
+  if (algo == bench::Algo::bfs && direction != gg::Direction::push) {
     // Serving regime: the gather view is pinned before the query, like a
-    // Session would keep it across repeated traversals.
-    gg::ensure_csc_resident(dev, dg, d.csr, &csc, with_weights, scratch);
+    // Session would keep it across repeated traversals. SSSP runs push
+    // under every direction and never reads it.
+    gg::ensure_csc_resident(dev, dg, d.csr, &csc, scratch);
     opts.engine.csc = &csc;
   }
   gg::TraversalMetrics m;
@@ -167,21 +170,27 @@ int main(int argc, char** argv) {
   std::printf(">>> SSSP\n");
   run_algo(bench::Algo::sssp, opts, rows);
 
-  // Acceptance: on BFS, DO wins somewhere heavy-tailed and never loses >5%.
+  // Acceptance: on BFS, DO wins somewhere heavy-tailed and never loses >5%;
+  // SSSP runs the same push schedule under every direction.
   int heavy_wins = 0;
   int regressions = 0;
+  int sssp_mismatches = 0;
   for (const auto& r : rows) {
-    if (std::string(r.algo) != "bfs") continue;
+    if (std::string(r.algo) != "bfs") {
+      if (r.pull.us != r.push.us || r.dopt.us != r.push.us) ++sssp_mismatches;
+      continue;
+    }
     const double ratio = r.push.us / r.dopt.us;
     if (r.heavy_tailed && ratio > 1.0) ++heavy_wins;
     if (ratio < 0.95) ++regressions;
   }
+  const bool pass = heavy_wins >= 1 && regressions == 0 && sssp_mismatches == 0;
   std::printf("acceptance: DO-BFS beats always-push on %d heavy-tailed "
-              "dataset(s); regressions beyond 5%%: %d -> %s\n",
-              heavy_wins, regressions,
-              heavy_wins >= 1 && regressions == 0 ? "PASS" : "FAIL");
+              "dataset(s); regressions beyond 5%%: %d; SSSP datasets whose "
+              "directions differ: %d -> %s\n",
+              heavy_wins, regressions, sssp_mismatches, pass ? "PASS" : "FAIL");
 
   const std::string json_out = cli.get("json-out", "");
   if (!json_out.empty()) write_json(json_out, rows);
-  return heavy_wins >= 1 && regressions == 0 ? 0 : 1;
+  return pass ? 0 : 1;
 }

@@ -59,12 +59,12 @@ rt::Query cc_query(const Graph& g, const Policy& policy, bool of_symmetrized) {
   return q;
 }
 
-rt::Query runtime_query(const Graph& g, const Policy& policy) {
+rt::Query runtime_query(const Graph& g, const Policy& policy, bool gathers) {
   rt::Query q = policy_query(policy);
   if (policy.wants_rep()) q.rel = &g.relabelled_view();
   // Pull iterations gather over the CSC; the Graph's cached host copy saves
   // the engine a transpose per query.
-  if (policy.wants_pull()) q.options.engine.csc = &g.csc();
+  if (gathers && policy.wants_pull()) q.options.engine.csc = &g.csc();
   return q;
 }
 
@@ -214,8 +214,9 @@ SsspResult sssp(simt::Device& dev, const Graph& g, NodeId source,
     }
     case Policy::Mode::fixed_variant:
     case Policy::Mode::adaptive: {
-      gg::GpuSsspResult r = rt::run_sssp(dev, nullptr, g.csr(), source,
-                                         detail::runtime_query(g, policy));
+      gg::GpuSsspResult r = rt::run_sssp(
+          dev, nullptr, g.csr(), source,
+          detail::runtime_query(g, policy, /*gathers=*/false));
       out.dist = std::move(r.dist);
       out.metrics = std::move(r.metrics);
       return out;
@@ -255,7 +256,9 @@ CcResult cc(simt::Device& dev, const Graph& g, const Policy& policy) {
 }
 
 MstResult mst(simt::Device& dev, const Graph& g, const Policy& policy) {
-  AGG_CHECK_MSG(g.is_weighted(), "MST requires edge weights");
+  if (!g.is_weighted()) {
+    return detail::invalid_argument_result<MstResult>("mst requires edge weights");
+  }
   const graph::Csr& csr = detail::resolve_symmetric_csr(g, policy);
   return detail::run_guarded<MstResult>(dev, [&] {
   MstResult out;

@@ -59,11 +59,11 @@ struct Policy {
     p.symmetrize = s;
     return p;
   }
-  // Sets the traversal direction for BFS/SSSP: on a fixed policy it pins
-  // the variant's direction; on an adaptive policy Direction::adaptive
-  // enables the direction-optimizing controller (Beamer push<->pull
-  // hysteresis, alpha/beta knobs on options.thresholds). CC accepts any
-  // direction and always runs push.
+  // Sets the traversal direction for BFS: on a fixed policy it pins the
+  // variant's direction; on an adaptive policy Direction::adaptive enables
+  // the direction-optimizing controller (Beamer push<->pull hysteresis,
+  // alpha/beta knobs on options.thresholds). SSSP and CC accept any
+  // direction and always run push.
   Policy with_direction(gg::Direction d) const {
     Policy p = *this;
     p.variant.direction = d;
@@ -273,9 +273,12 @@ ResultT invalid_argument_result(const char* why) {
 }
 
 // The runtime form of `policy` for a BFS/SSSP query on `g`. Hands over the
-// Graph's cached CSC and relabelled views, so repeated queries share one
-// build. Callers pass it to rt::run_bfs / run_sssp.
-rt::Query runtime_query(const Graph& g, const Policy& policy);
+// Graph's cached relabelled view and, when the query `gathers` (BFS), its
+// cached CSC, so repeated queries share one build. SSSP only scatters and
+// passes gathers = false, so it never triggers a CSC build. Callers pass the
+// query to rt::run_bfs / run_sssp.
+rt::Query runtime_query(const Graph& g, const Policy& policy,
+                        bool gathers = true);
 
 // The same for a CC query on `g` (on its symmetrized closure when
 // `of_symmetrized`). CC only scatters, so the query carries no CSC and

@@ -445,8 +445,9 @@ SsspResult Session::sssp_on(simt::DeviceIndex d, const Graph& g, NodeId source,
   }
   return detail::run_guarded<SsspResult>(dev, [&] {
     Pin& pin = ensure_fresh(*reg, d, true);
-    gg::GpuSsspResult gr = rt::run_sssp(dev, &pin.dg, g.csr(), source,
-                                        detail::runtime_query(g, policy));
+    gg::GpuSsspResult gr =
+        rt::run_sssp(dev, &pin.dg, g.csr(), source,
+                     detail::runtime_query(g, policy, /*gathers=*/false));
     SsspResult r;
     r.dist = std::move(gr.dist);
     r.metrics = std::move(gr.metrics);

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "gpu_graph/device_graph.h"
-#include "gpu_graph/workset.h"
-#include "simt/launch.h"
+#include "gpu_graph/generic_engine.h"
 
 namespace gg {
 namespace {
@@ -26,150 +24,117 @@ constexpr simt::Site kPullRowOffsets{11, "bfs.pull-row-offsets"};
 constexpr simt::Site kPullEdgeLoad{12, "bfs.pull-edge-load"};
 constexpr simt::Site kPullFrontierTest{13, "bfs.pull-frontier-test"};
 
-struct BfsKernelState {
-  simt::DeviceBuffer<std::uint32_t>* level;
-  DeviceGraph* graph;
-  Workset* ws;
-  std::vector<std::uint32_t>* updated;  // host shadow of set update flags
-  bool ordered;
-};
+// Level-synchronous BFS (Fig. 4): the node's level plus one reaches each
+// out-neighbor it improves. Ordered and unordered BFS differ only in the
+// visited check (Fig. 4 line 8 vs 8').
+struct BfsOp {
+  static constexpr const char* kAlgo = "bfs";
+  static constexpr MappedKernels kKernels{GG_KERNEL_NAMES("bfs.compute"),
+                                          kQueueLoad, kBitmapClear};
+  static constexpr bool kOrdered = true;
 
-// Per-element body shared by all launch shapes. The caller chooses how the
-// adjacency is partitioned: thread mapping visits it whole (offset 0, step
-// 1); block mapping strides it across the block; warp-centric mapping
-// strides it across the 32 lanes of the owning virtual warp.
-void visit_element(simt::ThreadCtx& ctx, BfsKernelState& st, std::uint32_t id,
-                   std::uint32_t offset, std::uint32_t step) {
-  const std::uint32_t lvl = ctx.load(*st.level, id, kNodeLevel);
-  const std::uint32_t begin = ctx.load(st.graph->row_offsets, id, kRowOffsets);
-  const std::uint32_t end = ctx.load(st.graph->row_offsets, id + 1, kRowOffsets);
-  ctx.compute(4, kNodeOps);
-  const std::uint32_t next = lvl + 1;
+  DeviceGraph& dg;
+  const graph::Csr& g;
+  graph::NodeId source;
+  const graph::Csr* csc;  // caller's host CSC for pull iterations, or null
+  std::vector<std::uint32_t>& out;
+  simt::DeviceBuffer<std::uint32_t> level{};
+  bool ordered = false;
+  std::optional<graph::Csr> csc_scratch{};
 
-  for (std::uint32_t e = begin + offset; e < end; e += step) {
-    const std::uint32_t t = ctx.load(st.graph->col_indices, e, kEdgeLoad);
-    ctx.compute(3, kEdgeOps);
-    const std::uint32_t tl = ctx.load(*st.level, t, kNbrLevel);
-    // Fig. 4: ordered processes a node once (undefined level); unordered
-    // re-admits as long as the level decreases.
-    const bool improves = st.ordered ? tl == graph::kInfinity : next < tl;
-    if (improves) {
-      ctx.store(*st.level, t, next, kLevelStore);
-      if (ctx.load(st.ws->update(), t, kUpdateLoad) == 0) {
-        ctx.store(st.ws->update(), t, std::uint8_t{1}, kUpdateStore);
-        st.updated->push_back(t);
+  // Fig. 8 lines 1-3: create, initialize and transfer the level array.
+  std::vector<std::uint32_t> start(simt::Device& dev) {
+    level = dev.alloc<std::uint32_t>(g.num_nodes, "bfs.level");
+    dev.fill(level, graph::kInfinity);
+    dev.write_scalar(level, source, 0u);
+    return {source};
+  }
+  void seed(simt::Device& dev, Frontier& fr, Variant first,
+            Workset::GenMethod) {
+    fr.ws.init_source(dev, source, first.repr);
+    ordered = first.ordering == Ordering::ordered;
+  }
+
+  void element(simt::ThreadCtx& ctx, Frontier& fr, std::uint32_t id,
+               std::uint32_t offset, std::uint32_t step) {
+    const std::uint32_t lvl = ctx.load(level, id, kNodeLevel);
+    const std::uint32_t begin = ctx.load(dg.row_offsets, id, kRowOffsets);
+    const std::uint32_t end = ctx.load(dg.row_offsets, id + 1, kRowOffsets);
+    ctx.compute(4, kNodeOps);
+    const std::uint32_t next = lvl + 1;
+
+    for (std::uint32_t e = begin + offset; e < end; e += step) {
+      const std::uint32_t t = ctx.load(dg.col_indices, e, kEdgeLoad);
+      ctx.compute(3, kEdgeOps);
+      const std::uint32_t tl = ctx.load(level, t, kNbrLevel);
+      // Fig. 4: ordered processes a node once (undefined level); unordered
+      // re-admits as long as the level decreases.
+      const bool improves = ordered ? tl == graph::kInfinity : next < tl;
+      if (improves) {
+        ctx.store(level, t, next, kLevelStore);
+        fr.mark(ctx, t, kUpdateLoad, kUpdateStore);
       }
     }
   }
-}
 
-// All compute variants keep the default LaunchPolicy::serial: visit_element
-// branches on the update-flag claim and push_backs into the host-side updated
-// list, so the functional result depends on the order blocks run.
-void launch_computation(simt::Device& dev, BfsKernelState& st, Variant v,
-                        std::span<const std::uint32_t> frontier,
-                        std::uint32_t thread_tpb, std::uint32_t block_tpb) {
-  const std::uint32_t n = st.graph->num_nodes;
-  simt::Predicate pred;
-  pred.base_addr = st.ws->bitmap().base_addr();
-  pred.stride = 1;
-  pred.ops = 2;
+  // Pull (gather) formulation, Beamer-style: a dense thread-per-vertex
+  // kernel in which every *unvisited* vertex scans its in-neighbors (CSC)
+  // for a frontier member, early-exiting on the first hit. Each thread
+  // stores only to its own level/update cells, so there is no inter-thread
+  // claim on the update flag, and the in-edge reads are the coalesced
+  // gather the CSC exists for. The first pull iteration makes the CSC
+  // resident (Session pins keep it across queries).
+  void pull(simt::Device& dev, Frontier& fr, std::uint32_t thread_tpb) {
+    ensure_csc_resident(dev, dg, g, csc, csc_scratch);
+    const auto grid = simt::GridSpec::dense(g.num_nodes, thread_tpb);
+    simt::launch(dev, "bfs.compute.T_PULL", grid, [&](simt::ThreadCtx& ctx) {
+      const auto id = static_cast<std::uint32_t>(ctx.global_id());
+      const std::uint32_t lvl = ctx.load(level, id, kNodeLevel);
+      ctx.compute(1, kNodeOps);
+      if (lvl != graph::kInfinity) return;  // visited: one load and out
+      const std::uint32_t begin =
+          ctx.load(dg.in_row_offsets, id, kPullRowOffsets);
+      const std::uint32_t end =
+          ctx.load(dg.in_row_offsets, id + 1, kPullRowOffsets);
+      ctx.compute(2, kNodeOps);
+      for (std::uint32_t e = begin; e < end; ++e) {
+        const std::uint32_t u = ctx.load(dg.in_col_indices, e, kPullEdgeLoad);
+        ctx.compute(2, kEdgeOps);
+        if (ctx.load(fr.ws.bitmap(), u, kPullFrontierTest) == 0) continue;
+        const std::uint32_t ul = ctx.load(level, u, kNbrLevel);
+        ctx.store(level, id, ul + 1, kLevelStore);
+        ctx.store(fr.ws.update(), id, std::uint8_t{1}, kUpdateStore);
+        fr.next.push_back(id);
+        break;  // first frontier in-neighbor wins; rest of the scan is skipped
+      }
+    });
+  }
 
-  if (v.mapping == Mapping::thread) {
-    if (v.repr == WorksetRepr::bitmap) {
-      const auto grid = simt::GridSpec::over_threads(n, thread_tpb, frontier, pred);
-      simt::launch(dev, "bfs.compute.T_BM", grid, [&](simt::ThreadCtx& ctx) {
-        const auto id = static_cast<std::uint32_t>(ctx.global_id());
-        ctx.store(st.ws->bitmap(), id, std::uint8_t{0}, kBitmapClear);
-        visit_element(ctx, st, id, 0, 1);
-      });
-    } else {
-      const auto grid = simt::GridSpec::dense(frontier.size(), thread_tpb);
-      simt::launch(dev, "bfs.compute.T_QU", grid, [&](simt::ThreadCtx& ctx) {
-        const std::uint32_t id =
-            ctx.load(st.ws->queue(), ctx.global_id(), kQueueLoad);
-        visit_element(ctx, st, id, 0, 1);
-      });
-    }
-  } else if (v.mapping == Mapping::warp) {
-    // Extension: virtual-warp-centric mapping (Hong et al. [12]). Queue
-    // form packs thread_tpb/32 virtual warps per physical block; bitmap
-    // form runs one-warp blocks over the node range.
-    if (v.repr == WorksetRepr::bitmap) {
-      const auto grid =
-          simt::GridSpec::over_blocks(n, simt::kWarpSize, frontier, pred);
-      simt::launch(dev, "bfs.compute.W_BM", grid, [&](simt::ThreadCtx& ctx) {
-        const auto id = static_cast<std::uint32_t>(ctx.block_idx());
-        if (ctx.thread_in_block() == 0) {
-          ctx.store(st.ws->bitmap(), id, std::uint8_t{0}, kBitmapClear);
+  // Hybrid host phase: the same relaxation as a serial loop.
+  void host(Frontier& fr) {
+    auto level_view = level.host_view();
+    auto update_view = fr.ws.update().host_view();
+    for (const std::uint32_t v : fr.current) {
+      const std::uint32_t next_level = level_view[v] + 1;
+      for (const graph::NodeId t : g.neighbors(v)) {
+        const bool improves = ordered ? level_view[t] == graph::kInfinity
+                                      : next_level < level_view[t];
+        if (improves) {
+          level_view[t] = next_level;
+          if (update_view[t] == 0) {
+            update_view[t] = 1;
+            fr.next.push_back(t);
+          }
         }
-        visit_element(ctx, st, id, ctx.thread_in_block(), simt::kWarpSize);
-      });
-    } else {
-      const auto grid =
-          simt::GridSpec::dense(frontier.size() * simt::kWarpSize, thread_tpb);
-      simt::launch(dev, "bfs.compute.W_QU", grid, [&](simt::ThreadCtx& ctx) {
-        const auto wid = static_cast<std::uint32_t>(ctx.global_id() / simt::kWarpSize);
-        const std::uint32_t id = ctx.load(st.ws->queue(), wid, kQueueLoad);
-        visit_element(ctx, st, id,
-                      static_cast<std::uint32_t>(ctx.global_id() % simt::kWarpSize),
-                      simt::kWarpSize);
-      });
-    }
-  } else {
-    if (v.repr == WorksetRepr::bitmap) {
-      const auto grid = simt::GridSpec::over_blocks(n, block_tpb, frontier, pred);
-      simt::launch(dev, "bfs.compute.B_BM", grid, [&](simt::ThreadCtx& ctx) {
-        const auto id = static_cast<std::uint32_t>(ctx.block_idx());
-        if (ctx.thread_in_block() == 0) {
-          ctx.store(st.ws->bitmap(), id, std::uint8_t{0}, kBitmapClear);
-        }
-        visit_element(ctx, st, id, ctx.thread_in_block(), ctx.block_dim());
-      });
-    } else {
-      const auto grid =
-          simt::GridSpec::dense(frontier.size() * block_tpb, block_tpb);
-      simt::launch(dev, "bfs.compute.B_QU", grid, [&](simt::ThreadCtx& ctx) {
-        const std::uint32_t id =
-            ctx.load(st.ws->queue(), ctx.block_idx(), kQueueLoad);
-        visit_element(ctx, st, id, ctx.thread_in_block(), ctx.block_dim());
-      });
+      }
     }
   }
-}
 
-// Pull (gather) formulation, Beamer-style: a dense thread-per-vertex kernel
-// in which every *unvisited* vertex scans its in-neighbors (CSC) for a
-// frontier member, early-exiting on the first hit. No scatter-side work at
-// all — each thread stores only to its own level/update cells, so there is
-// no inter-thread claim on the update flag — and the in-edge reads are the
-// coalesced gather the CSC exists for. Serial policy: discovered ids are
-// push_backed into the host-side updated shadow.
-void launch_pull(simt::Device& dev, BfsKernelState& st, std::uint32_t thread_tpb) {
-  const std::uint32_t n = st.graph->num_nodes;
-  const auto grid = simt::GridSpec::dense(n, thread_tpb);
-  simt::launch(dev, "bfs.compute.T_PULL", grid, [&](simt::ThreadCtx& ctx) {
-    const auto id = static_cast<std::uint32_t>(ctx.global_id());
-    const std::uint32_t lvl = ctx.load(*st.level, id, kNodeLevel);
-    ctx.compute(1, kNodeOps);
-    if (lvl != graph::kInfinity) return;  // visited: one load and out
-    const std::uint32_t begin =
-        ctx.load(st.graph->in_row_offsets, id, kPullRowOffsets);
-    const std::uint32_t end =
-        ctx.load(st.graph->in_row_offsets, id + 1, kPullRowOffsets);
-    ctx.compute(2, kNodeOps);
-    for (std::uint32_t e = begin; e < end; ++e) {
-      const std::uint32_t u = ctx.load(st.graph->in_col_indices, e, kPullEdgeLoad);
-      ctx.compute(2, kEdgeOps);
-      if (ctx.load(st.ws->bitmap(), u, kPullFrontierTest) == 0) continue;
-      const std::uint32_t ul = ctx.load(*st.level, u, kNbrLevel);
-      ctx.store(*st.level, id, ul + 1, kLevelStore);
-      ctx.store(st.ws->update(), id, std::uint8_t{1}, kUpdateStore);
-      st.updated->push_back(id);
-      break;  // first frontier in-neighbor wins; rest of the scan is skipped
-    }
-  });
-}
+  void finish(simt::Device& dev, bool host_resident) {
+    out = download(dev, level, host_resident);
+    dev.free(level);
+  }
+};
 
 }  // namespace
 
@@ -182,19 +147,10 @@ std::uint32_t derive_block_tpb(double avg_outdegree) {
 
 GpuBfsResult run_bfs(simt::Device& dev, const graph::Csr& g, graph::NodeId source,
                      const VariantSelector& selector, const EngineOptions& opts) {
-  // Fig. 8 lines 1-3: create data structures, initialize, transfer. The
-  // one-shot upload (and its PCIe cost) belongs to this query, so it is
-  // folded into the reported totals on top of the resident-form metrics.
-  simt::StreamGuard sguard(dev, opts.stream);
-  const simt::DeviceStats stats_before = dev.stats();
-  const double t_begin = dev.now_us();
-  DeviceGraph dg = DeviceGraph::upload(dev, g, /*with_weights=*/false);
-  GpuBfsResult result = run_bfs(dev, dg, g, source, selector, opts);
-  dg.release(dev);
-  result.metrics.total_us = dev.now_us() - t_begin;
-  result.metrics.transfer_us =
-      dev.stats().transfer_time_us - stats_before.transfer_time_us;
-  return result;
+  return run_uploaded(dev, g, opts.stream, /*with_weights=*/false,
+                      [&](DeviceGraph& dg) {
+                        return run_bfs(dev, dg, g, source, selector, opts);
+                      });
 }
 
 GpuBfsResult run_bfs(simt::Device& dev, DeviceGraph& dg, const graph::Csr& g,
@@ -202,197 +158,9 @@ GpuBfsResult run_bfs(simt::Device& dev, DeviceGraph& dg, const graph::Csr& g,
                      const EngineOptions& opts) {
   AGG_CHECK(source < g.num_nodes);
   simt::StreamGuard sguard(dev, opts.stream);
-  const simt::DeviceStats stats_before = dev.stats();
-  const double t_begin = dev.now_us();
-
   GpuBfsResult result;
-
-  const std::uint32_t block_tpb =
-      opts.block_tpb ? opts.block_tpb : derive_block_tpb(dg.avg_outdegree);
-
-  auto level = dev.alloc<std::uint32_t>(g.num_nodes, "bfs.level");
-  dev.fill(level, graph::kInfinity);
-  dev.write_scalar(level, source, 0u);
-  Workset ws(dev, g.num_nodes);
-
-  // Direction-optimizing bookkeeping (Beamer-style, host side): out-edges of
-  // vertices the traversal has not touched yet, maintained by first-touch
-  // accounting over the updated lists.
-  std::uint64_t unexplored_edges = dg.num_edges - g.degree(source);
-  std::vector<std::uint8_t> seen(g.num_nodes, 0);
-  seen[source] = 1;
-  std::optional<graph::Csr> csc_scratch;
-
-  SelectorInput sel;
-  sel.iteration = 0;
-  sel.ws_size = 1;
-  sel.avg_outdegree = dg.avg_outdegree;
-  sel.outdeg_stddev = dg.outdeg_stddev;
-  sel.num_nodes = g.num_nodes;
-  sel.frontier_edges = g.degree(source);
-  sel.unexplored_edges = unexplored_edges;
-  sel.direction = Direction::push;
-
-  std::vector<std::uint32_t> frontier{source};
-  const bool hybrid = opts.hybrid_cpu_threshold > 0;
-  bool on_cpu = hybrid && frontier.size() < opts.hybrid_cpu_threshold;
-  sel.csc_resident = dg.csc_resident(/*with_weights=*/false);
-  sel.host_phase = on_cpu;
-  const Selection first = selector(sel);
-  Variant variant = normalize_direction(first.variant);
-  bool fused = first.fused;
-  ws.init_source(dev, source, variant.repr);
-
-  std::vector<std::uint32_t> updated;
-  BfsKernelState st{&level, &dg, &ws, &updated,
-                    variant.ordering == Ordering::ordered};
-
-  const std::uint64_t max_iters =
-      opts.max_iterations ? opts.max_iterations
-                          : 4ull * g.num_nodes + 64;
-
-  FusedLoop loop(dev, ws, opts.thread_tpb);
-  if (on_cpu) {
-    // Entering a CPU phase: download the state array (Hong et al. [13]-style
-    // hybrid execution keeps host and device copies in sync at switches).
-    dev.account_transfer(4ull * g.num_nodes, /*to_device=*/false);
-  }
-
-  std::uint32_t iteration = 0;
-  while (!frontier.empty()) {
-    ++iteration;
-    AGG_CHECK_MSG(iteration <= max_iters, "BFS failed to converge");
-    const double t_iter = dev.now_us();
-    loop.begin(fused && !on_cpu);
-
-    st.ordered = variant.ordering == Ordering::ordered;
-    std::uint64_t frontier_edges = 0;
-    for (const std::uint32_t v : frontier) frontier_edges += g.degree(v);
-    result.metrics.edges_processed += frontier_edges;
-
-    if (on_cpu) {
-      // Serial host processing of this (small) frontier: no kernel launches,
-      // no readbacks — the hybrid's whole advantage on high-diameter graphs.
-      auto level_view = level.host_view();
-      auto update_view = ws.update().host_view();
-      for (const std::uint32_t v : frontier) {
-        const std::uint32_t next_level = level_view[v] + 1;
-        for (const graph::NodeId t : g.neighbors(v)) {
-          const bool improves = st.ordered ? level_view[t] == graph::kInfinity
-                                           : next_level < level_view[t];
-          if (improves) {
-            level_view[t] = next_level;
-            if (update_view[t] == 0) {
-              update_view[t] = 1;
-              updated.push_back(t);
-            }
-          }
-        }
-      }
-      dev.account_host_compute(host_phase_us(frontier.size(), frontier_edges));
-    } else if (variant.direction == Direction::pull) {
-      // Gather iteration: make the CSC resident (first pull pays the
-      // transfer; Session pins keep it across queries), run the dense pull
-      // kernel against the bitmap frontier, then wipe the consumed frontier
-      // bits (pull kernels cannot clear them in-kernel — every in-edge scan
-      // reads them).
-      ensure_csc_resident(dev, dg, g, opts.csc, /*with_weights=*/false,
-                          csc_scratch);
-      launch_pull(dev, st, opts.thread_tpb);
-      loop.readback(WorksetRepr::bitmap);
-      ws.clear_frontier_bitmap(dev, frontier);
-    } else {
-      launch_computation(dev, st, variant, frontier, opts.thread_tpb, block_tpb);
-      // Per-iteration termination signal (Fig. 8 line 4).
-      loop.readback(variant.repr);
-    }
-    std::sort(updated.begin(), updated.end());
-
-    std::uint64_t next_frontier_edges = 0;
-    for (const std::uint32_t v : updated) {
-      const std::uint64_t d = g.degree(v);
-      next_frontier_edges += d;
-      if (!seen[v]) {
-        seen[v] = 1;
-        unexplored_edges -= d;
-      }
-    }
-
-    const bool next_on_cpu =
-        hybrid && updated.size() < opts.hybrid_cpu_threshold;
-
-    // Decision point (Sec. VI.E): sampled working-set monitoring + selector.
-    Variant next = variant;
-    bool next_fused = fused;
-    if (opts.monitor_interval > 0 && iteration % opts.monitor_interval == 0) {
-      if (!on_cpu && variant.repr == WorksetRepr::bitmap) {
-        ws.charge_bitmap_count_kernel(dev);  // queue mode: size known from tail
-      }
-      sel.iteration = iteration;
-      sel.ws_size = updated.size();
-      sel.frontier_edges = next_frontier_edges;
-      sel.unexplored_edges = unexplored_edges;
-      sel.direction = variant.direction;
-      sel.csc_resident = dg.csc_resident(/*with_weights=*/false);
-      sel.host_phase = next_on_cpu;
-      ++result.metrics.decisions;
-      const Selection chosen = selector(sel);
-      next = normalize_direction(chosen.variant);
-      next.ordering = variant.ordering;  // ordering is fixed per traversal
-      next_fused = chosen.fused;
-      if (!on_cpu && next != variant) ++result.metrics.switches;
-    }
-
-    // Host phases are scalar scatter loops; direction only applies on device.
-    if (next_on_cpu) next.direction = Direction::push;
-    if (on_cpu != next_on_cpu) {
-      // Direction switch: sync the state array across PCIe.
-      if (next_on_cpu) {
-        dev.account_transfer(4ull * g.num_nodes, /*to_device=*/false);
-      } else {
-        dev.account_transfer(4ull * g.num_nodes, /*to_device=*/true);
-        // Re-materialize the device update vector before generation.
-        dev.account_transfer(g.num_nodes, /*to_device=*/true);
-      }
-    }
-
-    if (!updated.empty() && !next_on_cpu) {
-      ws.generate(dev, next.repr, updated,
-                  opts.scan_queue_gen ? Workset::GenMethod::scan
-                                      : Workset::GenMethod::atomic);
-    } else if (!updated.empty()) {
-      // CPU phase: clear the flags functionally (the host owns the state).
-      for (const std::uint32_t v : updated) ws.update().host_view()[v] = 0;
-    }
-    loop.end(next_fused && !next_on_cpu, !updated.empty(), next.repr);
-
-    record_iteration(result.metrics, "bfs",
-                     {iteration, frontier.size(), variant,
-                      dev.now_us() - t_iter, on_cpu, loop.fused()},
-                     dev.now_us());
-    frontier.swap(updated);
-    updated.clear();
-    variant = next;
-    fused = next_fused;
-    on_cpu = next_on_cpu;
-  }
-
-  // Download the result (included in the measured time, as in the paper).
-  result.level.resize(g.num_nodes);
-  if (on_cpu) {
-    // Hybrid run ended in a CPU phase: the state array is already host
-    // resident, so no download is charged.
-    const auto view = level.host_view();
-    std::copy(view.begin(), view.end(), result.level.begin());
-  } else {
-    dev.memcpy_d2h(std::span<std::uint32_t>(result.level), level);
-  }
-
-  ws.release(dev);
-  dev.free(level);
-
-  fill_from_device_delta(result.metrics, stats_before, dev.stats(), t_begin,
-                         dev.now_us());
+  BfsOp op{dg, g, source, opts.csc, result.level};
+  result.metrics = drive_frontier(dev, dg, g, op, selector, opts);
   return result;
 }
 

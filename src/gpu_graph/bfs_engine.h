@@ -1,8 +1,9 @@
 // GPU BFS across the full implementation space (paper Sec. IV/V, Figs. 4, 8,
-// 9): level-synchronous traversal driven by the two-kernel iteration
-// framework (CUDA_computation + CUDA_workset_gen), supporting all eight
-// ordering x mapping x working-set variants, with an optional per-iteration
-// variant selector for the adaptive runtime.
+// 9): level-synchronous traversal as an operator on the frontier driver
+// (generic_engine.h: CUDA_computation + CUDA_workset_gen), supporting all
+// eight ordering x mapping x working-set variants plus the pull (gather)
+// direction, with an optional per-iteration variant selector for the
+// adaptive runtime.
 #pragma once
 
 #include <vector>

@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <bit>
 
-#include "gpu_graph/workset.h"
-#include "simt/launch.h"
+#include "gpu_graph/generic_engine.h"
 
 namespace gg {
 namespace {
@@ -24,127 +23,113 @@ constexpr simt::Site kQueueLoad{10, "msbfs.queue-load"};
 constexpr simt::Site kBitmapClear{11, "msbfs.bitmap-clear"};
 constexpr simt::Site kBitOps{12, "msbfs.bit-ops"};
 
-struct MultiState {
-  simt::DeviceBuffer<std::uint32_t>* frontier_mask;
-  simt::DeviceBuffer<std::uint32_t>* visited;
-  simt::DeviceBuffer<std::uint32_t>* next_mask;
-  simt::DeviceBuffer<std::uint32_t>* levels;  // n * k
-  DeviceGraph* graph;
-  Workset* ws;
-  std::vector<std::uint32_t>* updated;  // host shadow of set update flags
-  std::uint32_t k = 0;                  // batch width
-  std::uint32_t depth = 0;              // current iteration = level being set
+// Each node carries its pending searches as one mask word. Mask buffers are
+// never cleared: a stale bit is, by construction, one the node already
+// expanded the last time it sat in the working set, so every neighbor's
+// visited word already contains it and `fresh` masks it out. Frontier
+// membership comes from the working set, not from the mask words.
+struct MultiOp {
+  static constexpr const char* kAlgo = "msbfs";
+  static constexpr MappedKernels kKernels{GG_KERNEL_NAMES("msbfs.compute"),
+                                          kQueueLoad, kBitmapClear};
+
+  const DeviceGraph& dg;
+  std::span<const graph::NodeId> sources;
+  std::vector<std::uint32_t>& out;
+  std::uint32_t k = static_cast<std::uint32_t>(sources.size());  // batch width
+  simt::DeviceBuffer<std::uint32_t> frontier_mask{};
+  simt::DeviceBuffer<std::uint32_t> visited{};
+  simt::DeviceBuffer<std::uint32_t> next_mask{};
+  simt::DeviceBuffer<std::uint32_t> levels{};  // n * k
+  std::uint32_t depth = 0;  // current iteration = level being set
+
+  // Distinct source nodes form the initial frontier; a node hosting several
+  // batched sources simply starts with several bits.
+  std::vector<std::uint32_t> start(simt::Device& dev) {
+    const std::uint32_t n = dg.num_nodes;
+    frontier_mask = dev.alloc<std::uint32_t>(n, "msbfs.frontier_mask");
+    visited = dev.alloc<std::uint32_t>(n, "msbfs.visited");
+    next_mask = dev.alloc<std::uint32_t>(n, "msbfs.next_mask");
+    levels = dev.alloc<std::uint32_t>(static_cast<std::size_t>(n) * k,
+                                      "msbfs.levels");
+    dev.fill(frontier_mask, 0u);
+    dev.fill(visited, 0u);
+    dev.fill(next_mask, 0u);
+    dev.fill(levels, graph::kInfinity);
+    std::vector<std::uint32_t> frontier(sources.begin(), sources.end());
+    std::sort(frontier.begin(), frontier.end());
+    frontier.erase(std::unique(frontier.begin(), frontier.end()),
+                   frontier.end());
+    return frontier;
+  }
+  // Each source's bit, visited bit and level 0.
+  void initialize(simt::Device& dev) {
+    for (std::uint32_t s = 0; s < k; ++s) {
+      const std::uint32_t v = sources[s];
+      dev.write_scalar(frontier_mask, v,
+                       frontier_mask.host_view()[v] | (1u << s));
+      dev.write_scalar(visited, v, visited.host_view()[v] | (1u << s));
+      dev.write_scalar(levels, static_cast<std::size_t>(v) * k + s, 0u);
+    }
+  }
+  // The initial working set's update flags are written from the host.
+  void seed(simt::Device& dev, Frontier& fr, Variant first,
+            Workset::GenMethod gen) {
+    for (const std::uint32_t v : fr.current) {
+      dev.write_scalar(fr.ws.update(), v, std::uint8_t{1});
+    }
+    fr.ws.generate(dev, first.repr, fr.current, gen);
+  }
+  // Each iteration accumulates into the other mask buffer: the last one's
+  // targets are this one's frontier.
+  void begin_iteration(std::uint32_t iteration,
+                       std::span<const std::uint32_t>) {
+    if (iteration > 1) std::swap(frontier_mask, next_mask);
+    depth = iteration;
+  }
+
+  void element(simt::ThreadCtx& ctx, Frontier& fr, std::uint32_t id,
+               std::uint32_t offset, std::uint32_t step) {
+    const std::uint32_t fm = ctx.load(frontier_mask, id, kFrontierMask);
+    const std::uint32_t begin = ctx.load(dg.row_offsets, id, kRowOffsets);
+    const std::uint32_t end = ctx.load(dg.row_offsets, id + 1, kRowOffsets);
+    ctx.compute(4, kNodeOps);
+
+    for (std::uint32_t e = begin + offset; e < end; e += step) {
+      const std::uint32_t t = ctx.load(dg.col_indices, e, kEdgeLoad);
+      ctx.compute(3, kEdgeOps);
+      const std::uint32_t vis = ctx.load(visited, t, kVisited);
+      std::uint32_t fresh = fm & ~vis;
+      if (fresh == 0) continue;
+      // All blocks run under LaunchPolicy::serial (the functional result
+      // depends on block order through the update-flag claim below), so the
+      // read-modify-write pair models atomicOr's cost without needing one.
+      ctx.store(visited, t, vis | fresh, kVisited);
+      const std::uint32_t nm = ctx.load(next_mask, t, kNextMask);
+      ctx.store(next_mask, t, nm | fresh, kNextMask);
+      // One level store per search that just reached t; lockstep advance
+      // makes the level exactly the current depth for every fresh bit.
+      while (fresh != 0) {
+        const auto s = static_cast<std::uint32_t>(std::countr_zero(fresh));
+        ctx.compute(3, kBitOps);  // ctz + clear-lowest + index arithmetic
+        ctx.store(levels, static_cast<std::size_t>(t) * k + s, depth,
+                  kLevelStore);
+        fresh &= fresh - 1;
+      }
+      fr.mark(ctx, t, kUpdateLoad, kUpdateStore);
+    }
+  }
+
+  // Download the full levels matrix (n x k): the batch's entire answer.
+  void finish(simt::Device& dev, bool) {
+    out.resize(levels.size());
+    dev.memcpy_d2h(std::span<std::uint32_t>(out), levels);
+    dev.free(frontier_mask);
+    dev.free(visited);
+    dev.free(next_mask);
+    dev.free(levels);
+  }
 };
-
-// Shared per-element body (cf. bfs_engine.cpp visit_element): the caller
-// chooses adjacency partitioning per mapping. Mask buffers are never
-// cleared: a stale bit is, by construction, one the node already expanded
-// the last time it sat in the working set, so every neighbor's visited word
-// already contains it and `fresh` masks it out. Frontier membership comes
-// from the workset, not from the mask words.
-void visit_element(simt::ThreadCtx& ctx, MultiState& st, std::uint32_t id,
-                   std::uint32_t offset, std::uint32_t step) {
-  const std::uint32_t fm = ctx.load(*st.frontier_mask, id, kFrontierMask);
-  const std::uint32_t begin = ctx.load(st.graph->row_offsets, id, kRowOffsets);
-  const std::uint32_t end = ctx.load(st.graph->row_offsets, id + 1, kRowOffsets);
-  ctx.compute(4, kNodeOps);
-
-  for (std::uint32_t e = begin + offset; e < end; e += step) {
-    const std::uint32_t t = ctx.load(st.graph->col_indices, e, kEdgeLoad);
-    ctx.compute(3, kEdgeOps);
-    const std::uint32_t vis = ctx.load(*st.visited, t, kVisited);
-    std::uint32_t fresh = fm & ~vis;
-    if (fresh == 0) continue;
-    // All blocks run under LaunchPolicy::serial (the functional result
-    // depends on block order through the update-flag claim below), so the
-    // read-modify-write pair models atomicOr's cost without needing one.
-    ctx.store(*st.visited, t, vis | fresh, kVisited);
-    const std::uint32_t nm = ctx.load(*st.next_mask, t, kNextMask);
-    ctx.store(*st.next_mask, t, nm | fresh, kNextMask);
-    // One level store per search that just reached t; lockstep advance makes
-    // the level exactly the current depth for every fresh bit.
-    while (fresh != 0) {
-      const auto s = static_cast<std::uint32_t>(std::countr_zero(fresh));
-      ctx.compute(3, kBitOps);  // ctz + clear-lowest + index arithmetic
-      ctx.store(*st.levels, static_cast<std::size_t>(t) * st.k + s, st.depth,
-                kLevelStore);
-      fresh &= fresh - 1;
-    }
-    if (ctx.load(st.ws->update(), t, kUpdateLoad) == 0) {
-      ctx.store(st.ws->update(), t, std::uint8_t{1}, kUpdateStore);
-      st.updated->push_back(t);
-    }
-  }
-}
-
-void launch_computation(simt::Device& dev, MultiState& st, Variant v,
-                        std::span<const std::uint32_t> frontier,
-                        std::uint32_t thread_tpb, std::uint32_t block_tpb) {
-  const std::uint32_t n = st.graph->num_nodes;
-  simt::Predicate pred;
-  pred.base_addr = st.ws->bitmap().base_addr();
-  pred.stride = 1;
-  pred.ops = 2;
-
-  if (v.mapping == Mapping::thread) {
-    if (v.repr == WorksetRepr::bitmap) {
-      const auto grid = simt::GridSpec::over_threads(n, thread_tpb, frontier, pred);
-      simt::launch(dev, "msbfs.compute.T_BM", grid, [&](simt::ThreadCtx& ctx) {
-        const auto id = static_cast<std::uint32_t>(ctx.global_id());
-        ctx.store(st.ws->bitmap(), id, std::uint8_t{0}, kBitmapClear);
-        visit_element(ctx, st, id, 0, 1);
-      });
-    } else {
-      const auto grid = simt::GridSpec::dense(frontier.size(), thread_tpb);
-      simt::launch(dev, "msbfs.compute.T_QU", grid, [&](simt::ThreadCtx& ctx) {
-        const std::uint32_t id =
-            ctx.load(st.ws->queue(), ctx.global_id(), kQueueLoad);
-        visit_element(ctx, st, id, 0, 1);
-      });
-    }
-  } else if (v.mapping == Mapping::warp) {
-    if (v.repr == WorksetRepr::bitmap) {
-      const auto grid =
-          simt::GridSpec::over_blocks(n, simt::kWarpSize, frontier, pred);
-      simt::launch(dev, "msbfs.compute.W_BM", grid, [&](simt::ThreadCtx& ctx) {
-        const auto id = static_cast<std::uint32_t>(ctx.block_idx());
-        if (ctx.thread_in_block() == 0) {
-          ctx.store(st.ws->bitmap(), id, std::uint8_t{0}, kBitmapClear);
-        }
-        visit_element(ctx, st, id, ctx.thread_in_block(), simt::kWarpSize);
-      });
-    } else {
-      const auto grid =
-          simt::GridSpec::dense(frontier.size() * simt::kWarpSize, thread_tpb);
-      simt::launch(dev, "msbfs.compute.W_QU", grid, [&](simt::ThreadCtx& ctx) {
-        const auto wid = static_cast<std::uint32_t>(ctx.global_id() / simt::kWarpSize);
-        const std::uint32_t id = ctx.load(st.ws->queue(), wid, kQueueLoad);
-        visit_element(ctx, st, id,
-                      static_cast<std::uint32_t>(ctx.global_id() % simt::kWarpSize),
-                      simt::kWarpSize);
-      });
-    }
-  } else {
-    if (v.repr == WorksetRepr::bitmap) {
-      const auto grid = simt::GridSpec::over_blocks(n, block_tpb, frontier, pred);
-      simt::launch(dev, "msbfs.compute.B_BM", grid, [&](simt::ThreadCtx& ctx) {
-        const auto id = static_cast<std::uint32_t>(ctx.block_idx());
-        if (ctx.thread_in_block() == 0) {
-          ctx.store(st.ws->bitmap(), id, std::uint8_t{0}, kBitmapClear);
-        }
-        visit_element(ctx, st, id, ctx.thread_in_block(), ctx.block_dim());
-      });
-    } else {
-      const auto grid =
-          simt::GridSpec::dense(frontier.size() * block_tpb, block_tpb);
-      simt::launch(dev, "msbfs.compute.B_QU", grid, [&](simt::ThreadCtx& ctx) {
-        const std::uint32_t id =
-            ctx.load(st.ws->queue(), ctx.block_idx(), kQueueLoad);
-        visit_element(ctx, st, id, ctx.thread_in_block(), ctx.block_dim());
-      });
-    }
-  }
-}
 
 }  // namespace
 
@@ -152,16 +137,10 @@ GpuBfsMultiResult run_bfs_multi(simt::Device& dev, const graph::Csr& g,
                                 std::span<const graph::NodeId> sources,
                                 const VariantSelector& selector,
                                 const EngineOptions& opts) {
-  simt::StreamGuard sguard(dev, opts.stream);
-  const simt::DeviceStats stats_before = dev.stats();
-  const double t_begin = dev.now_us();
-  DeviceGraph dg = DeviceGraph::upload(dev, g, /*with_weights=*/false);
-  GpuBfsMultiResult result = run_bfs_multi(dev, dg, g, sources, selector, opts);
-  dg.release(dev);
-  result.metrics.total_us = dev.now_us() - t_begin;
-  result.metrics.transfer_us =
-      dev.stats().transfer_time_us - stats_before.transfer_time_us;
-  return result;
+  return run_uploaded(dev, g, opts.stream, /*with_weights=*/false,
+                      [&](DeviceGraph& dg) {
+                        return run_bfs_multi(dev, dg, g, sources, selector, opts);
+                      });
 }
 
 GpuBfsMultiResult run_bfs_multi(simt::Device& dev, DeviceGraph& dg,
@@ -173,130 +152,10 @@ GpuBfsMultiResult run_bfs_multi(simt::Device& dev, DeviceGraph& dg,
                 "batch of 1..32 sources required");
   for (const graph::NodeId s : sources) AGG_CHECK(s < g.num_nodes);
   simt::StreamGuard sguard(dev, opts.stream);
-  const simt::DeviceStats stats_before = dev.stats();
-  const double t_begin = dev.now_us();
-
   GpuBfsMultiResult result;
-  const auto k = static_cast<std::uint32_t>(sources.size());
-  result.num_sources = k;
-  const std::uint32_t block_tpb =
-      opts.block_tpb ? opts.block_tpb : derive_block_tpb(dg.avg_outdegree);
-
-  auto frontier_mask = dev.alloc<std::uint32_t>(g.num_nodes, "msbfs.frontier_mask");
-  auto visited = dev.alloc<std::uint32_t>(g.num_nodes, "msbfs.visited");
-  auto next_mask = dev.alloc<std::uint32_t>(g.num_nodes, "msbfs.next_mask");
-  auto levels =
-      dev.alloc<std::uint32_t>(static_cast<std::size_t>(g.num_nodes) * k,
-                               "msbfs.levels");
-  dev.fill(frontier_mask, 0u);
-  dev.fill(visited, 0u);
-  dev.fill(next_mask, 0u);
-  dev.fill(levels, graph::kInfinity);
-  Workset ws(dev, g.num_nodes);
-
-  // Seed: distinct source nodes form the initial frontier; a node hosting
-  // several batched sources simply starts with several bits.
-  std::vector<std::uint32_t> frontier;
-  for (std::uint32_t s = 0; s < k; ++s) {
-    const std::uint32_t v = sources[s];
-    dev.write_scalar(frontier_mask, v,
-                     frontier_mask.host_view()[v] | (1u << s));
-    dev.write_scalar(visited, v, visited.host_view()[v] | (1u << s));
-    dev.write_scalar(levels, static_cast<std::size_t>(v) * k + s, 0u);
-    if (std::find(frontier.begin(), frontier.end(), v) == frontier.end()) {
-      frontier.push_back(v);
-    }
-  }
-  std::sort(frontier.begin(), frontier.end());
-
-  SelectorInput sel;
-  sel.iteration = 0;
-  sel.ws_size = frontier.size();
-  sel.avg_outdegree = dg.avg_outdegree;
-  sel.outdeg_stddev = dg.outdeg_stddev;
-  sel.num_nodes = g.num_nodes;
-  Variant variant = selector(sel).variant;
-  variant.ordering = Ordering::unordered;  // lockstep masks have no ordered form
-  for (const std::uint32_t v : frontier) {
-    // Materialize the initial working set in `variant.repr` form through the
-    // regular generation path (flags were just written host-side).
-    dev.write_scalar(ws.update(), v, std::uint8_t{1});
-  }
-  ws.generate(dev, variant.repr, frontier);
-
-  std::vector<std::uint32_t> updated;
-  MultiState st{&frontier_mask, &visited, &next_mask,
-                &levels,        &dg,      &ws,
-                &updated,       k,        0};
-
-  const std::uint64_t max_iters =
-      opts.max_iterations ? opts.max_iterations : 4ull * g.num_nodes + 64;
-
-  std::uint32_t iteration = 0;
-  while (!frontier.empty()) {
-    ++iteration;
-    AGG_CHECK_MSG(iteration <= max_iters, "multi-source BFS failed to converge");
-    const double t_iter = dev.now_us();
-    st.depth = iteration;
-
-    std::uint64_t frontier_edges = 0;
-    for (const std::uint32_t v : frontier) frontier_edges += g.degree(v);
-    result.metrics.edges_processed += frontier_edges;
-
-    launch_computation(dev, st, variant, frontier, opts.thread_tpb, block_tpb);
-    if (variant.repr == WorksetRepr::queue) {
-      ws.charge_queue_len_readback(dev);
-    } else {
-      ws.charge_changed_flag_readback(dev);
-    }
-    std::sort(updated.begin(), updated.end());
-
-    // The old frontier buffer becomes next iteration's accumulation target;
-    // its stale bits are harmless (see visit_element).
-    std::swap(frontier_mask, next_mask);
-    st.frontier_mask = &frontier_mask;
-    st.next_mask = &next_mask;
-
-    Variant next = variant;
-    if (opts.monitor_interval > 0 && iteration % opts.monitor_interval == 0) {
-      if (variant.repr == WorksetRepr::bitmap) {
-        ws.charge_bitmap_count_kernel(dev);
-      }
-      sel.iteration = iteration;
-      sel.ws_size = updated.size();
-      ++result.metrics.decisions;
-      next = selector(sel).variant;
-      next.ordering = Ordering::unordered;
-      if (next != variant) ++result.metrics.switches;
-    }
-
-    if (!updated.empty()) {
-      ws.generate(dev, next.repr, updated,
-                  opts.scan_queue_gen ? Workset::GenMethod::scan
-                                      : Workset::GenMethod::atomic);
-    }
-
-    record_iteration(result.metrics, "msbfs",
-                     {iteration, frontier.size(), variant,
-                      dev.now_us() - t_iter},
-                     dev.now_us());
-    frontier.swap(updated);
-    updated.clear();
-    variant = next;
-  }
-
-  // Download the full levels matrix (n x k) — the batch's entire answer.
-  result.levels.resize(static_cast<std::size_t>(g.num_nodes) * k);
-  dev.memcpy_d2h(std::span<std::uint32_t>(result.levels), levels);
-
-  ws.release(dev);
-  dev.free(frontier_mask);
-  dev.free(visited);
-  dev.free(next_mask);
-  dev.free(levels);
-
-  fill_from_device_delta(result.metrics, stats_before, dev.stats(), t_begin,
-                         dev.now_us());
+  result.num_sources = static_cast<std::uint32_t>(sources.size());
+  MultiOp op{dg, sources, result.levels};
+  result.metrics = drive_frontier(dev, dg, g, op, selector, opts);
   return result;
 }
 

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
-#include "gpu_graph/device_graph.h"
-#include "gpu_graph/workset.h"
-#include "simt/launch.h"
+#include "gpu_graph/generic_engine.h"
 
 namespace gg {
 namespace {
@@ -23,13 +21,6 @@ constexpr simt::Site kBitmapClear{9, "cc.bitmap-clear"};
 constexpr simt::Site kJumpLoad{10, "cc.jump-load"};
 constexpr simt::Site kJumpAtomic{11, "cc.jump-atomic"};
 
-struct CcState {
-  simt::DeviceBuffer<std::uint32_t>* label;
-  DeviceGraph* graph;
-  Workset* ws;
-  std::vector<std::uint32_t>* updated;
-};
-
 // Pushes the node's label to its neighbours, shortcut by one pointer jump:
 // when label[id] = c names another node, label[c] also reaches id (labels are
 // ids of nodes that reach the labelled node), so the lane at offset 0 lowers
@@ -38,233 +29,78 @@ struct CcState {
 // the lowered label and push a value no larger than it. Label 0 is always
 // its own label, so it skips the dependent load; on graphs whose largest
 // component holds node 0 that is most active nodes after the first sweep.
-void propagate_element(simt::ThreadCtx& ctx, CcState& st, std::uint32_t id,
-                       std::uint32_t offset, std::uint32_t step) {
-  std::uint32_t c = ctx.load(*st.label, id, kNodeLabel);
-  if (c != id && c != 0) {
-    const std::uint32_t cc = ctx.load(*st.label, c, kJumpLoad);
-    if (cc < c) {
-      if (offset == 0) ctx.atomic_min(*st.label, id, cc, kJumpAtomic);
-      c = cc;
-    }
-  }
-  const std::uint32_t begin = ctx.load(st.graph->row_offsets, id, kRowOffsets);
-  const std::uint32_t end = ctx.load(st.graph->row_offsets, id + 1, kRowOffsets);
-  ctx.compute(4, kNodeOps);
-  for (std::uint32_t e = begin + offset; e < end; e += step) {
-    const std::uint32_t t = ctx.load(st.graph->col_indices, e, kEdgeLoad);
-    ctx.compute(2, kEdgeOps);
-    const std::uint32_t old = ctx.atomic_min(*st.label, t, c, kPropagate);
-    if (c < old) {
-      if (ctx.load(st.ws->update(), t, kUpdateLoad) == 0) {
-        ctx.store(st.ws->update(), t, std::uint8_t{1}, kUpdateStore);
-        st.updated->push_back(t);
-      }
-    }
-  }
-}
+struct CcOp {
+  static constexpr const char* kAlgo = "cc";
+  static constexpr MappedKernels kKernels{GG_KERNEL_NAMES("cc.compute"),
+                                          kQueueLoad, kBitmapClear};
 
-// Keeps the default LaunchPolicy::serial: label propagation branches on the
-// atomic_min return value and push_backs into the host-side updated list.
-void launch_cc(simt::Device& dev, CcState& st, Variant v,
-               std::span<const std::uint32_t> frontier, std::uint32_t thread_tpb,
-               std::uint32_t block_tpb) {
-  const std::uint32_t n = st.graph->num_nodes;
-  simt::Predicate pred;
-  pred.base_addr = st.ws->bitmap().base_addr();
-  pred.stride = 1;
-  pred.ops = 2;
+  const DeviceGraph& dg;
+  GpuCcResult& out;
+  simt::DeviceBuffer<std::uint32_t> label{};
 
-  switch (v.mapping) {
-    case Mapping::thread:
-      if (v.repr == WorksetRepr::bitmap) {
-        const auto grid = simt::GridSpec::over_threads(n, thread_tpb, frontier, pred);
-        simt::launch(dev, "cc.compute.T_BM", grid, [&](simt::ThreadCtx& ctx) {
-          const auto id = static_cast<std::uint32_t>(ctx.global_id());
-          ctx.store(st.ws->bitmap(), id, std::uint8_t{0}, kBitmapClear);
-          propagate_element(ctx, st, id, 0, 1);
-        });
-      } else {
-        const auto grid = simt::GridSpec::dense(frontier.size(), thread_tpb);
-        simt::launch(dev, "cc.compute.T_QU", grid, [&](simt::ThreadCtx& ctx) {
-          const std::uint32_t id =
-              ctx.load(st.ws->queue(), ctx.global_id(), kQueueLoad);
-          propagate_element(ctx, st, id, 0, 1);
-        });
-      }
-      break;
-    case Mapping::block:
-      if (v.repr == WorksetRepr::bitmap) {
-        const auto grid = simt::GridSpec::over_blocks(n, block_tpb, frontier, pred);
-        simt::launch(dev, "cc.compute.B_BM", grid, [&](simt::ThreadCtx& ctx) {
-          const auto id = static_cast<std::uint32_t>(ctx.block_idx());
-          if (ctx.thread_in_block() == 0) {
-            ctx.store(st.ws->bitmap(), id, std::uint8_t{0}, kBitmapClear);
-          }
-          propagate_element(ctx, st, id, ctx.thread_in_block(), ctx.block_dim());
-        });
-      } else {
-        const auto grid =
-            simt::GridSpec::dense(frontier.size() * block_tpb, block_tpb);
-        simt::launch(dev, "cc.compute.B_QU", grid, [&](simt::ThreadCtx& ctx) {
-          const std::uint32_t id =
-              ctx.load(st.ws->queue(), ctx.block_idx(), kQueueLoad);
-          propagate_element(ctx, st, id, ctx.thread_in_block(), ctx.block_dim());
-        });
-      }
-      break;
-    case Mapping::warp:
-      if (v.repr == WorksetRepr::bitmap) {
-        const auto grid =
-            simt::GridSpec::over_blocks(n, simt::kWarpSize, frontier, pred);
-        simt::launch(dev, "cc.compute.W_BM", grid, [&](simt::ThreadCtx& ctx) {
-          const auto id = static_cast<std::uint32_t>(ctx.block_idx());
-          if (ctx.thread_in_block() == 0) {
-            ctx.store(st.ws->bitmap(), id, std::uint8_t{0}, kBitmapClear);
-          }
-          propagate_element(ctx, st, id, ctx.thread_in_block(), simt::kWarpSize);
-        });
-      } else {
-        const auto grid =
-            simt::GridSpec::dense(frontier.size() * simt::kWarpSize, thread_tpb);
-        simt::launch(dev, "cc.compute.W_QU", grid, [&](simt::ThreadCtx& ctx) {
-          const auto wid =
-              static_cast<std::uint32_t>(ctx.global_id() / simt::kWarpSize);
-          const std::uint32_t id = ctx.load(st.ws->queue(), wid, kQueueLoad);
-          propagate_element(
-              ctx, st, id,
-              static_cast<std::uint32_t>(ctx.global_id() % simt::kWarpSize),
-              simt::kWarpSize);
-        });
-      }
-      break;
-  }
-}
-
-}  // namespace
-
-GpuCcResult run_cc(simt::Device& dev, const graph::Csr& g,
-                   const VariantSelector& selector, const EngineOptions& opts) {
-  simt::StreamGuard sguard(dev, opts.stream);
-  const simt::DeviceStats stats_before = dev.stats();
-  const double t_begin = dev.now_us();
-  DeviceGraph dg = DeviceGraph::upload(dev, g, /*with_weights=*/false);
-  GpuCcResult result = run_cc(dev, dg, g, selector, opts);
-  dg.release(dev);
-  result.metrics.total_us = dev.now_us() - t_begin;
-  result.metrics.transfer_us =
-      dev.stats().transfer_time_us - stats_before.transfer_time_us;
-  return result;
-}
-
-GpuCcResult run_cc(simt::Device& dev, DeviceGraph& dg, const graph::Csr& g,
-                   const VariantSelector& selector, const EngineOptions& opts) {
-  simt::StreamGuard sguard(dev, opts.stream);
-  const simt::DeviceStats stats_before = dev.stats();
-  const double t_begin = dev.now_us();
-
-  GpuCcResult result;
-  const std::uint32_t block_tpb =
-      opts.block_tpb ? opts.block_tpb : derive_block_tpb(dg.avg_outdegree);
-
-  // label[v] = v (device-side iota, charged as one uniform kernel).
-  auto label = dev.alloc<std::uint32_t>(g.num_nodes, "cc.label");
-  std::iota(label.host_view().begin(), label.host_view().end(), 0u);
-  {
+  // label[v] = v (device-side iota, charged as one uniform kernel); every
+  // node starts in the working set.
+  std::vector<std::uint32_t> start(simt::Device& dev) {
+    label = dev.alloc<std::uint32_t>(dg.num_nodes, "cc.label");
+    std::iota(label.host_view().begin(), label.host_view().end(), 0u);
     simt::UniformThreadCost cost;
     cost.ops = 2;
     cost.mem_instrs = 1;
     cost.transactions_per_warp = simt::kWarpSize * 4 / dev.timing().segment_bytes;
     dev.account_kernel(simt::estimate_uniform_kernel(
-        dev.props(), dev.timing(), "cc.init_labels", g.num_nodes, 256, cost));
+        dev.props(), dev.timing(), "cc.init_labels", dg.num_nodes, 256, cost));
+    std::vector<std::uint32_t> all(dg.num_nodes);
+    std::iota(all.begin(), all.end(), 0u);
+    return all;
   }
-  Workset ws(dev, g.num_nodes);
 
-  SelectorInput sel;
-  sel.ws_size = g.num_nodes;  // every node starts active
-  sel.avg_outdegree = dg.avg_outdegree;
-  sel.outdeg_stddev = dg.outdeg_stddev;
-  sel.num_nodes = g.num_nodes;
-  const Selection first = selector(sel);
-  Variant variant = first.variant;
-  variant.ordering = Ordering::unordered;
-  bool fused = first.fused;
-
-  // Initial working set = all nodes, produced by the generation kernel from
-  // a fully-set update vector.
-  std::vector<std::uint32_t> frontier(g.num_nodes);
-  std::iota(frontier.begin(), frontier.end(), 0u);
-  std::fill(ws.update().host_view().begin(), ws.update().host_view().end(),
-            std::uint8_t{1});
-  ws.generate(dev, variant.repr, frontier,
-              opts.scan_queue_gen ? Workset::GenMethod::scan
-                                  : Workset::GenMethod::atomic);
-
-  std::vector<std::uint32_t> updated;
-  CcState st{&label, &dg, &ws, &updated};
-
-  const std::uint64_t max_iters =
-      opts.max_iterations ? opts.max_iterations : 4ull * g.num_nodes + 64;
-
-  FusedLoop loop(dev, ws, opts.thread_tpb);
-  std::uint32_t iteration = 0;
-  while (!frontier.empty()) {
-    ++iteration;
-    AGG_CHECK_MSG(iteration <= max_iters, "CC failed to converge");
-    const double t_iter = dev.now_us();
-    loop.begin(fused);
-
-    launch_cc(dev, st, variant, frontier, opts.thread_tpb, block_tpb);
-    for (const std::uint32_t v : frontier) {
-      result.metrics.edges_processed += g.degree(v);
-    }
-    std::sort(updated.begin(), updated.end());
-
-    loop.readback(variant.repr);
-
-    Variant next = variant;
-    bool next_fused = fused;
-    if (opts.monitor_interval > 0 && iteration % opts.monitor_interval == 0) {
-      if (variant.repr == WorksetRepr::bitmap) {
-        ws.charge_bitmap_count_kernel(dev);
+  void element(simt::ThreadCtx& ctx, Frontier& fr, std::uint32_t id,
+               std::uint32_t offset, std::uint32_t step) {
+    std::uint32_t c = ctx.load(label, id, kNodeLabel);
+    if (c != id && c != 0) {
+      const std::uint32_t cc = ctx.load(label, c, kJumpLoad);
+      if (cc < c) {
+        if (offset == 0) ctx.atomic_min(label, id, cc, kJumpAtomic);
+        c = cc;
       }
-      sel.iteration = iteration;
-      sel.ws_size = updated.size();
-      ++result.metrics.decisions;
-      const Selection chosen = selector(sel);
-      next = chosen.variant;
-      next.ordering = Ordering::unordered;
-      next_fused = chosen.fused;
-      if (next != variant) ++result.metrics.switches;
     }
-
-    if (!updated.empty()) {
-      ws.generate(dev, next.repr, updated,
-                  opts.scan_queue_gen ? Workset::GenMethod::scan
-                                      : Workset::GenMethod::atomic);
+    const std::uint32_t begin = ctx.load(dg.row_offsets, id, kRowOffsets);
+    const std::uint32_t end = ctx.load(dg.row_offsets, id + 1, kRowOffsets);
+    ctx.compute(4, kNodeOps);
+    for (std::uint32_t e = begin + offset; e < end; e += step) {
+      const std::uint32_t t = ctx.load(dg.col_indices, e, kEdgeLoad);
+      ctx.compute(2, kEdgeOps);
+      const std::uint32_t old = ctx.atomic_min(label, t, c, kPropagate);
+      if (c < old) fr.mark(ctx, t, kUpdateLoad, kUpdateStore);
     }
-    loop.end(next_fused, !updated.empty(), next.repr);
-
-    record_iteration(result.metrics, "cc",
-                     {iteration, frontier.size(), variant,
-                      dev.now_us() - t_iter, false, loop.fused()},
-                     dev.now_us());
-    frontier.swap(updated);
-    updated.clear();
-    variant = next;
-    fused = next_fused;
   }
 
-  result.component.resize(g.num_nodes);
-  dev.memcpy_d2h(std::span<std::uint32_t>(result.component), label);
-  for (std::uint32_t v = 0; v < g.num_nodes; ++v) {
-    if (result.component[v] == v) ++result.num_components;
+  void finish(simt::Device& dev, bool) {
+    out.component.resize(dg.num_nodes);
+    dev.memcpy_d2h(std::span<std::uint32_t>(out.component), label);
+    for (std::uint32_t v = 0; v < dg.num_nodes; ++v) {
+      if (out.component[v] == v) ++out.num_components;
+    }
+    dev.free(label);
   }
+};
 
-  ws.release(dev);
-  dev.free(label);
-  fill_from_device_delta(result.metrics, stats_before, dev.stats(), t_begin,
-                         dev.now_us());
+}  // namespace
+
+GpuCcResult run_cc(simt::Device& dev, const graph::Csr& g,
+                   const VariantSelector& selector, const EngineOptions& opts) {
+  return run_uploaded(dev, g, opts.stream, /*with_weights=*/false,
+                      [&](DeviceGraph& dg) {
+                        return run_cc(dev, dg, g, selector, opts);
+                      });
+}
+
+GpuCcResult run_cc(simt::Device& dev, DeviceGraph& dg, const graph::Csr& g,
+                   const VariantSelector& selector, const EngineOptions& opts) {
+  simt::StreamGuard sguard(dev, opts.stream);
+  GpuCcResult result;
+  CcOp op{dg, result};
+  result.metrics = drive_frontier(dev, dg, g, op, selector, opts);
   return result;
 }
 

@@ -121,7 +121,6 @@ DeviceGraph::PatchStats DeviceGraph::patch(simt::Device& dev,
   // The CSC view no longer matches; drop it (lazily rebuilt on demand).
   if (in_row_offsets.valid()) dev.free(in_row_offsets);
   if (in_col_indices.valid()) dev.free(in_col_indices);
-  if (in_weights.valid()) dev.free(in_weights);
   // Same for the relabelled resident: a delta changes both the permutation
   // (degrees moved) and the edge arrays, so the layout is rebuilt from the
   // post-delta host view on the next query that wants it.
@@ -143,24 +142,15 @@ DeviceGraph& DeviceGraph::ensure_rep_resident(simt::Device& dev,
   return *rel;
 }
 
-void DeviceGraph::upload_csc(simt::Device& dev, const graph::Csr& csc,
-                             bool with_weights) {
+void DeviceGraph::upload_csc(simt::Device& dev, const graph::Csr& csc) {
   AGG_CHECK(csc.num_nodes == num_nodes && csc.num_edges() == num_edges);
-  AGG_CHECK(!with_weights || csc.has_weights());
-  if (!in_row_offsets.valid()) {
-    in_row_offsets =
-        dev.alloc<std::uint32_t>(csc.row_offsets.size(), "csc.row_offsets");
-    dev.memcpy_h2d(in_row_offsets,
-                   std::span<const std::uint32_t>(csc.row_offsets));
-    in_col_indices =
-        dev.alloc<std::uint32_t>(csc.col_indices.size(), "csc.col_indices");
-    dev.memcpy_h2d(in_col_indices,
-                   std::span<const std::uint32_t>(csc.col_indices));
-  }
-  if (with_weights && !in_weights.valid()) {
-    in_weights = dev.alloc<std::uint32_t>(csc.weights.size(), "csc.weights");
-    dev.memcpy_h2d(in_weights, std::span<const std::uint32_t>(csc.weights));
-  }
+  if (in_row_offsets.valid()) return;
+  in_row_offsets =
+      dev.alloc<std::uint32_t>(csc.row_offsets.size(), "csc.row_offsets");
+  dev.memcpy_h2d(in_row_offsets, std::span<const std::uint32_t>(csc.row_offsets));
+  in_col_indices =
+      dev.alloc<std::uint32_t>(csc.col_indices.size(), "csc.col_indices");
+  dev.memcpy_h2d(in_col_indices, std::span<const std::uint32_t>(csc.col_indices));
 }
 
 void DeviceGraph::release(simt::Device& dev) {
@@ -169,20 +159,18 @@ void DeviceGraph::release(simt::Device& dev) {
   if (weights.valid()) dev.free(weights);
   if (in_row_offsets.valid()) dev.free(in_row_offsets);
   if (in_col_indices.valid()) dev.free(in_col_indices);
-  if (in_weights.valid()) dev.free(in_weights);
   free_rep(dev, rel);
 }
 
 void ensure_csc_resident(simt::Device& dev, DeviceGraph& dg,
                          const graph::Csr& g, const graph::Csr* host_csc,
-                         bool with_weights,
                          std::optional<graph::Csr>& scratch) {
-  if (dg.csc_resident(with_weights)) return;
+  if (dg.csc_resident()) return;
   if (host_csc == nullptr) {
     if (!scratch) scratch = graph::build_csc(g);
     host_csc = &*scratch;
   }
-  dg.upload_csc(dev, *host_csc, with_weights);
+  dg.upload_csc(dev, *host_csc);
 }
 
 }  // namespace gg

@@ -1,9 +1,10 @@
 // Device-resident CSR (paper Sec. V.A): node vector, edge vector, optional
 // weight vector, uploaded once per traversal with transfer costs accounted.
-// The pull (gather) kernels additionally need the CSC view; it is uploaded
-// lazily — upload_csc() on first pull iteration — so push-only traversals
-// never pay for it, and it stays resident alongside the CSR (Session pins
-// keep it across queries; release() drops both).
+// The pull (gather) BFS kernel additionally needs the CSC view (unweighted:
+// BFS is its only reader); it is uploaded lazily — upload_csc() on the first
+// pull iteration — so push-only traversals never pay for it, and it stays
+// resident alongside the CSR (Session pins keep it across queries;
+// release() drops both).
 #pragma once
 
 #include <memory>
@@ -26,7 +27,6 @@ struct DeviceGraph {
   // CSC (in-neighbor) view, empty until upload_csc().
   simt::DeviceBuffer<std::uint32_t> in_row_offsets;  // n + 1
   simt::DeviceBuffer<std::uint32_t> in_col_indices;  // m
-  simt::DeviceBuffer<std::uint32_t> in_weights;      // m if weighted
 
   static DeviceGraph upload(simt::Device& dev, const graph::Csr& g,
                             bool with_weights);
@@ -48,10 +48,8 @@ struct DeviceGraph {
   // Uploads the CSC view (see graph::build_csc); `csc` must describe the
   // same graph as the resident CSR. Idempotent per residency: callers guard
   // with csc_resident().
-  void upload_csc(simt::Device& dev, const graph::Csr& csc, bool with_weights);
-  bool csc_resident(bool with_weights) const {
-    return in_row_offsets.valid() && (!with_weights || in_weights.valid());
-  }
+  void upload_csc(simt::Device& dev, const graph::Csr& csc);
+  bool csc_resident() const { return in_row_offsets.valid(); }
 
   // Degree-relabelled resident (DESIGN.md "Representation adaptivity"):
   // the relabelled CSR of the same logical graph, pinned alongside the plain
@@ -74,7 +72,6 @@ struct DeviceGraph {
 // traversal (one-shot paths).
 void ensure_csc_resident(simt::Device& dev, DeviceGraph& dg,
                          const graph::Csr& g, const graph::Csr* host_csc,
-                         bool with_weights,
                          std::optional<graph::Csr>& scratch);
 
 }  // namespace gg

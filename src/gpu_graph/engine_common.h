@@ -1,7 +1,7 @@
-// Types shared by the BFS and SSSP engines: launch configuration knobs and
-// the per-iteration variant-selection hook through which both the static
+// Types shared by every frontier engine: launch configuration knobs and the
+// per-iteration variant-selection hook through which both the static
 // implementations (constant selector) and the adaptive runtime (decision
-// maker) drive the same traversal loop (paper Fig. 8).
+// maker) drive the one iteration loop (paper Fig. 8; generic_engine.h).
 #pragma once
 
 #include <cstdint>
@@ -49,8 +49,8 @@ struct EngineOptions {
   // Host phases are priced by host_phase_us below.
   std::uint64_t hybrid_cpu_threshold = 0;
 
-  // Host CSC (graph::build_csc) for pull iterations. When null and a pull
-  // iteration occurs, the engine builds the transpose itself (one-shot
+  // Host CSC (graph::build_csc) for pull BFS iterations. When null and a
+  // pull iteration occurs, the engine builds the transpose itself (one-shot
   // paths); the API/Session layers pass the Graph's cached CSC so repeated
   // queries share one build. The device copy is uploaded lazily into the
   // DeviceGraph on the first pull iteration and stays resident (Session
@@ -67,10 +67,11 @@ struct SelectorInput {
   double avg_outdegree = 0;   // whole-graph average (Sec. VI.E (i))
   double outdeg_stddev = 0;   // whole-graph spread (skew-aware mapping rule)
   std::uint32_t num_nodes = 0;
-  // Direction-optimizing inputs (Beamer-style, fed from the same inspector
-  // bookkeeping): out-edges incident to the working set, out-edges of
-  // not-yet-touched vertices, and the direction the previous iteration ran
-  // in (push on the initial selection).
+  // Direction-optimizing inputs (Beamer-style, kept by the driver for
+  // operators with a pull form, i.e. BFS; zero and push for the others):
+  // out-edges incident to the working set, out-edges of not-yet-touched
+  // vertices, and the direction the previous iteration ran in (push on the
+  // initial selection).
   std::uint64_t frontier_edges = 0;
   std::uint64_t unexplored_edges = 0;
   Direction direction = Direction::push;

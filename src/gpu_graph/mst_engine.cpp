@@ -5,9 +5,7 @@
 #include <numeric>
 #include <tuple>
 
-#include "gpu_graph/device_graph.h"
-#include "gpu_graph/workset.h"
-#include "simt/launch.h"
+#include "gpu_graph/generic_engine.h"
 
 namespace gg {
 namespace {
@@ -118,82 +116,8 @@ void find_min_element(simt::ThreadCtx& ctx, MstState& st, std::uint32_t id,
   }
 }
 
-// Keeps the default LaunchPolicy::serial: the update-flag claim and host-side
-// updated push_back make the result depend on the order blocks run.
-void launch_find_min(simt::Device& dev, MstState& st, Variant v,
-                     std::span<const std::uint32_t> frontier,
-                     std::uint32_t thread_tpb, std::uint32_t block_tpb) {
-  const std::uint32_t n = st.graph->num_nodes;
-  simt::Predicate pred;
-  pred.base_addr = st.ws->bitmap().base_addr();
-  pred.stride = 1;
-  pred.ops = 2;
-
-  switch (v.mapping) {
-    case Mapping::thread:
-      if (v.repr == WorksetRepr::bitmap) {
-        const auto grid = simt::GridSpec::over_threads(n, thread_tpb, frontier, pred);
-        simt::launch(dev, "mst.findmin.T_BM", grid, [&](simt::ThreadCtx& ctx) {
-          const auto id = static_cast<std::uint32_t>(ctx.global_id());
-          ctx.store(st.ws->bitmap(), id, std::uint8_t{0}, kBitmapClear);
-          find_min_element(ctx, st, id, 0, 1);
-        });
-      } else {
-        const auto grid = simt::GridSpec::dense(frontier.size(), thread_tpb);
-        simt::launch(dev, "mst.findmin.T_QU", grid, [&](simt::ThreadCtx& ctx) {
-          const std::uint32_t id =
-              ctx.load(st.ws->queue(), ctx.global_id(), kQueueLoad);
-          find_min_element(ctx, st, id, 0, 1);
-        });
-      }
-      break;
-    case Mapping::block:
-      if (v.repr == WorksetRepr::bitmap) {
-        const auto grid = simt::GridSpec::over_blocks(n, block_tpb, frontier, pred);
-        simt::launch(dev, "mst.findmin.B_BM", grid, [&](simt::ThreadCtx& ctx) {
-          const auto id = static_cast<std::uint32_t>(ctx.block_idx());
-          if (ctx.thread_in_block() == 0) {
-            ctx.store(st.ws->bitmap(), id, std::uint8_t{0}, kBitmapClear);
-          }
-          find_min_element(ctx, st, id, ctx.thread_in_block(), ctx.block_dim());
-        });
-      } else {
-        const auto grid =
-            simt::GridSpec::dense(frontier.size() * block_tpb, block_tpb);
-        simt::launch(dev, "mst.findmin.B_QU", grid, [&](simt::ThreadCtx& ctx) {
-          const std::uint32_t id =
-              ctx.load(st.ws->queue(), ctx.block_idx(), kQueueLoad);
-          find_min_element(ctx, st, id, ctx.thread_in_block(), ctx.block_dim());
-        });
-      }
-      break;
-    case Mapping::warp:
-      if (v.repr == WorksetRepr::bitmap) {
-        const auto grid =
-            simt::GridSpec::over_blocks(n, simt::kWarpSize, frontier, pred);
-        simt::launch(dev, "mst.findmin.W_BM", grid, [&](simt::ThreadCtx& ctx) {
-          const auto id = static_cast<std::uint32_t>(ctx.block_idx());
-          if (ctx.thread_in_block() == 0) {
-            ctx.store(st.ws->bitmap(), id, std::uint8_t{0}, kBitmapClear);
-          }
-          find_min_element(ctx, st, id, ctx.thread_in_block(), simt::kWarpSize);
-        });
-      } else {
-        const auto grid =
-            simt::GridSpec::dense(frontier.size() * simt::kWarpSize, thread_tpb);
-        simt::launch(dev, "mst.findmin.W_QU", grid, [&](simt::ThreadCtx& ctx) {
-          const auto wid =
-              static_cast<std::uint32_t>(ctx.global_id() / simt::kWarpSize);
-          const std::uint32_t id = ctx.load(st.ws->queue(), wid, kQueueLoad);
-          find_min_element(
-              ctx, st, id,
-              static_cast<std::uint32_t>(ctx.global_id() % simt::kWarpSize),
-              simt::kWarpSize);
-        });
-      }
-      break;
-  }
-}
+constexpr MappedKernels kFindMinKernels{GG_KERNEL_NAMES("mst.findmin"),
+                                        kQueueLoad, kBitmapClear};
 
 // Source node of an arc (binary search over the row offsets; host side only,
 // used during hooking).
@@ -287,7 +211,12 @@ GpuMstResult run_mst(simt::Device& dev, const graph::Csr& g,
     }
 
     // (2) Traced working-set kernel: per-component minimum outgoing arc.
-    launch_find_min(dev, st, variant, frontier, opts.thread_tpb, block_tpb);
+    launch_mapped(dev, variant, kFindMinKernels, ws, frontier, opts.thread_tpb,
+                  block_tpb,
+                  [&](simt::ThreadCtx& ctx, std::uint32_t id,
+                      std::uint32_t offset, std::uint32_t step) {
+                    find_min_element(ctx, st, id, offset, step);
+                  });
     for (const std::uint32_t v : frontier) {
       result.metrics.edges_processed += g.degree(v);
     }

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
-#include "gpu_graph/device_graph.h"
-#include "gpu_graph/workset.h"
-#include "simt/launch.h"
+#include "gpu_graph/generic_engine.h"
 
 namespace gg {
 namespace {
@@ -22,149 +20,98 @@ constexpr simt::Site kUpdateStore{8, "pr.update-store"};
 constexpr simt::Site kQueueLoad{9, "pr.queue-load"};
 constexpr simt::Site kBitmapClear{10, "pr.bitmap-clear"};
 
-struct PrState {
-  simt::DeviceBuffer<float>* rank;
-  simt::DeviceBuffer<float>* residual;
-  DeviceGraph* graph;
-  Workset* ws;
-  std::vector<std::uint32_t>* updated;
+// Folds the node's residual into its rank and pushes damped shares. The
+// residual is consumed by the element's *owner* lane (thread mapping) or
+// lane 0 (block/warp mapping); pushes are strided like the other engines.
+struct PageRankOp {
+  static constexpr const char* kAlgo = "pagerank";
+  static constexpr MappedKernels kKernels{GG_KERNEL_NAMES("pr.compute"),
+                                          kQueueLoad, kBitmapClear};
+
+  const DeviceGraph& dg;
+  const PageRankOptions& opts;
+  std::vector<float>& out;
+  simt::DeviceBuffer<float> rank{};
+  simt::DeviceBuffer<float> residual{};
   // Residuals of the frontier as of kernel launch, indexed by node id. On
   // real hardware every lane of an element's warp reads r[id] in lockstep
   // before the owner clears it; the sequential lane emulation reproduces
   // that by snapshotting at launch. Pushes that land on a frontier node
   // *during* the kernel stay in its residual for the next round.
-  std::vector<float>* snapshot;
-  float damping;
-  float push_tolerance;
-};
+  std::vector<float> snapshot{};
+  float damping = static_cast<float>(opts.damping);
+  // The re-entry threshold scales with the per-node teleport mass so that
+  // accuracy is independent of the graph size.
+  float push_tolerance = static_cast<float>(
+      opts.push_tolerance * (1.0 - opts.damping) / dg.num_nodes);
 
-// Folds the node's residual into its rank and pushes damped shares. The
-// residual is consumed by the element's *owner* lane (thread mapping) or
-// lane 0 (block/warp mapping); pushes are strided like the other engines.
-void push_element(simt::ThreadCtx& ctx, PrState& st, std::uint32_t id,
-                  std::uint32_t offset, std::uint32_t step) {
-  const float now = ctx.load(*st.residual, id, kResidual);
-  const float res = (*st.snapshot)[id];  // lockstep read-before-clear value
-  const std::uint32_t begin = ctx.load(st.graph->row_offsets, id, kRowOffsets);
-  const std::uint32_t end = ctx.load(st.graph->row_offsets, id + 1, kRowOffsets);
-  ctx.compute(6, kNodeOps);
-  if (offset == 0) {
-    // Claim the snapshot residual: fold into the rank, leave any mass that
-    // arrived during this kernel for the next round.
-    const float rank = ctx.load(*st.rank, id, kRankStore);
-    ctx.store(*st.rank, id, rank + res, kRankStore);
-    ctx.store(*st.residual, id, now - res, kResidual);
+  // Every node starts active with the teleport mass as its residual.
+  std::vector<std::uint32_t> start(simt::Device& dev) {
+    const std::uint32_t n = dg.num_nodes;
+    rank = dev.alloc<float>(n, "pr.rank");
+    residual = dev.alloc<float>(n, "pr.residual");
+    dev.fill(rank, 0.0f);
+    dev.fill(residual, static_cast<float>((1.0 - opts.damping) / n));
+    snapshot.assign(n, 0.0f);
+    std::vector<std::uint32_t> all(n);
+    std::iota(all.begin(), all.end(), 0u);
+    return all;
   }
-  const std::uint32_t deg = end - begin;
-  if (deg == 0) return;  // dangling: mass absorbed
-  const float share = st.damping * res / static_cast<float>(deg);
-
-  for (std::uint32_t e = begin + offset; e < end; e += step) {
-    const std::uint32_t t = ctx.load(st.graph->col_indices, e, kEdgeLoad);
-    ctx.compute(3, kEdgeOps);
-    const float before = ctx.atomic_add(*st.residual, t, share, kPush);
-    const float after = before + share;
-    if (after >= st.push_tolerance &&
-        ctx.load(st.ws->update(), t, kUpdateLoad) == 0) {
-      ctx.store(st.ws->update(), t, std::uint8_t{1}, kUpdateStore);
-      st.updated->push_back(t);
+  void begin_iteration(std::uint32_t, std::span<const std::uint32_t> frontier) {
+    for (const std::uint32_t v : frontier) {
+      snapshot[v] = residual.host_view()[v];
     }
   }
-}
 
-// Keeps the default LaunchPolicy::serial: the push branches on the float
-// atomic_add return (residual crossing the tolerance) and push_backs into the
-// host-side updated list, both order-dependent across blocks.
-void launch_pr(simt::Device& dev, PrState& st, Variant v,
-               std::span<const std::uint32_t> frontier, std::uint32_t thread_tpb,
-               std::uint32_t block_tpb) {
-  const std::uint32_t n = st.graph->num_nodes;
-  simt::Predicate pred;
-  pred.base_addr = st.ws->bitmap().base_addr();
-  pred.stride = 1;
-  pred.ops = 2;
+  void element(simt::ThreadCtx& ctx, Frontier& fr, std::uint32_t id,
+               std::uint32_t offset, std::uint32_t step) {
+    const float now = ctx.load(residual, id, kResidual);
+    const float res = snapshot[id];  // lockstep read-before-clear value
+    const std::uint32_t begin = ctx.load(dg.row_offsets, id, kRowOffsets);
+    const std::uint32_t end = ctx.load(dg.row_offsets, id + 1, kRowOffsets);
+    ctx.compute(6, kNodeOps);
+    if (offset == 0) {
+      // Claim the snapshot residual: fold into the rank, leave any mass that
+      // arrived during this kernel for the next round.
+      const float r = ctx.load(rank, id, kRankStore);
+      ctx.store(rank, id, r + res, kRankStore);
+      ctx.store(residual, id, now - res, kResidual);
+    }
+    const std::uint32_t deg = end - begin;
+    if (deg == 0) return;  // dangling: mass absorbed
+    const float share = damping * res / static_cast<float>(deg);
 
-  switch (v.mapping) {
-    case Mapping::thread:
-      if (v.repr == WorksetRepr::bitmap) {
-        const auto grid = simt::GridSpec::over_threads(n, thread_tpb, frontier, pred);
-        simt::launch(dev, "pr.compute.T_BM", grid, [&](simt::ThreadCtx& ctx) {
-          const auto id = static_cast<std::uint32_t>(ctx.global_id());
-          ctx.store(st.ws->bitmap(), id, std::uint8_t{0}, kBitmapClear);
-          push_element(ctx, st, id, 0, 1);
-        });
-      } else {
-        const auto grid = simt::GridSpec::dense(frontier.size(), thread_tpb);
-        simt::launch(dev, "pr.compute.T_QU", grid, [&](simt::ThreadCtx& ctx) {
-          const std::uint32_t id =
-              ctx.load(st.ws->queue(), ctx.global_id(), kQueueLoad);
-          push_element(ctx, st, id, 0, 1);
-        });
+    for (std::uint32_t e = begin + offset; e < end; e += step) {
+      const std::uint32_t t = ctx.load(dg.col_indices, e, kEdgeLoad);
+      ctx.compute(3, kEdgeOps);
+      const float before = ctx.atomic_add(residual, t, share, kPush);
+      if (before + share >= push_tolerance) {
+        fr.mark(ctx, t, kUpdateLoad, kUpdateStore);
       }
-      break;
-    case Mapping::block:
-      if (v.repr == WorksetRepr::bitmap) {
-        const auto grid = simt::GridSpec::over_blocks(n, block_tpb, frontier, pred);
-        simt::launch(dev, "pr.compute.B_BM", grid, [&](simt::ThreadCtx& ctx) {
-          const auto id = static_cast<std::uint32_t>(ctx.block_idx());
-          if (ctx.thread_in_block() == 0) {
-            ctx.store(st.ws->bitmap(), id, std::uint8_t{0}, kBitmapClear);
-          }
-          push_element(ctx, st, id, ctx.thread_in_block(), ctx.block_dim());
-        });
-      } else {
-        const auto grid =
-            simt::GridSpec::dense(frontier.size() * block_tpb, block_tpb);
-        simt::launch(dev, "pr.compute.B_QU", grid, [&](simt::ThreadCtx& ctx) {
-          const std::uint32_t id =
-              ctx.load(st.ws->queue(), ctx.block_idx(), kQueueLoad);
-          push_element(ctx, st, id, ctx.thread_in_block(), ctx.block_dim());
-        });
-      }
-      break;
-    case Mapping::warp:
-      if (v.repr == WorksetRepr::bitmap) {
-        const auto grid =
-            simt::GridSpec::over_blocks(n, simt::kWarpSize, frontier, pred);
-        simt::launch(dev, "pr.compute.W_BM", grid, [&](simt::ThreadCtx& ctx) {
-          const auto id = static_cast<std::uint32_t>(ctx.block_idx());
-          if (ctx.thread_in_block() == 0) {
-            ctx.store(st.ws->bitmap(), id, std::uint8_t{0}, kBitmapClear);
-          }
-          push_element(ctx, st, id, ctx.thread_in_block(), simt::kWarpSize);
-        });
-      } else {
-        const auto grid =
-            simt::GridSpec::dense(frontier.size() * simt::kWarpSize, thread_tpb);
-        simt::launch(dev, "pr.compute.W_QU", grid, [&](simt::ThreadCtx& ctx) {
-          const auto wid =
-              static_cast<std::uint32_t>(ctx.global_id() / simt::kWarpSize);
-          const std::uint32_t id = ctx.load(st.ws->queue(), wid, kQueueLoad);
-          push_element(
-              ctx, st, id,
-              static_cast<std::uint32_t>(ctx.global_id() % simt::kWarpSize),
-              simt::kWarpSize);
-        });
-      }
-      break;
+    }
   }
-}
+
+  // Fold unconverged residual mass in (bounded by n * push_tolerance).
+  void finish(simt::Device& dev, bool) {
+    out.resize(dg.num_nodes);
+    dev.memcpy_d2h(std::span<float>(out), rank);
+    for (std::uint32_t v = 0; v < dg.num_nodes; ++v) {
+      out[v] += residual.host_view()[v];
+    }
+    dev.free(rank);
+    dev.free(residual);
+  }
+};
 
 }  // namespace
 
 GpuPageRankResult run_pagerank(simt::Device& dev, const graph::Csr& g,
                                const VariantSelector& selector,
                                const PageRankOptions& opts) {
-  simt::StreamGuard sguard(dev, opts.engine.stream);
-  const simt::DeviceStats stats_before = dev.stats();
-  const double t_begin = dev.now_us();
-  DeviceGraph dg = DeviceGraph::upload(dev, g, /*with_weights=*/false);
-  GpuPageRankResult result = run_pagerank(dev, dg, g, selector, opts);
-  dg.release(dev);
-  result.metrics.total_us = dev.now_us() - t_begin;
-  result.metrics.transfer_us =
-      dev.stats().transfer_time_us - stats_before.transfer_time_us;
-  return result;
+  return run_uploaded(dev, g, opts.engine.stream, /*with_weights=*/false,
+                      [&](DeviceGraph& dg) {
+                        return run_pagerank(dev, dg, g, selector, opts);
+                      });
 }
 
 GpuPageRankResult run_pagerank(simt::Device& dev, DeviceGraph& dg,
@@ -174,115 +121,9 @@ GpuPageRankResult run_pagerank(simt::Device& dev, DeviceGraph& dg,
   AGG_CHECK(g.num_nodes > 0);
   AGG_CHECK(opts.damping > 0.0 && opts.damping < 1.0);
   simt::StreamGuard sguard(dev, opts.engine.stream);
-  const simt::DeviceStats stats_before = dev.stats();
-  const double t_begin = dev.now_us();
-
   GpuPageRankResult result;
-  const std::uint32_t block_tpb = opts.engine.block_tpb
-                                      ? opts.engine.block_tpb
-                                      : derive_block_tpb(dg.avg_outdegree);
-
-  auto rank = dev.alloc<float>(g.num_nodes, "pr.rank");
-  auto residual = dev.alloc<float>(g.num_nodes, "pr.residual");
-  dev.fill(rank, 0.0f);
-  dev.fill(residual,
-           static_cast<float>((1.0 - opts.damping) / g.num_nodes));
-  Workset ws(dev, g.num_nodes);
-
-  SelectorInput sel;
-  sel.ws_size = g.num_nodes;
-  sel.avg_outdegree = dg.avg_outdegree;
-  sel.outdeg_stddev = dg.outdeg_stddev;
-  sel.num_nodes = g.num_nodes;
-  Variant variant = selector(sel).variant;
-  variant.ordering = Ordering::unordered;
-
-  std::vector<std::uint32_t> frontier(g.num_nodes);
-  std::iota(frontier.begin(), frontier.end(), 0u);
-  std::fill(ws.update().host_view().begin(), ws.update().host_view().end(),
-            std::uint8_t{1});
-  ws.generate(dev, variant.repr, frontier);
-
-  std::vector<std::uint32_t> updated;
-  std::vector<float> snapshot(g.num_nodes, 0.0f);
-  // The re-entry threshold scales with the per-node teleport mass so that
-  // accuracy is independent of the graph size.
-  const auto threshold = static_cast<float>(
-      opts.push_tolerance * (1.0 - opts.damping) / g.num_nodes);
-  PrState st{&rank,
-             &residual,
-             &dg,
-             &ws,
-             &updated,
-             &snapshot,
-             static_cast<float>(opts.damping),
-             threshold};
-
-  const std::uint64_t max_iters =
-      opts.engine.max_iterations ? opts.engine.max_iterations
-                                 : 64ull * g.num_nodes + 4096;
-
-  std::uint32_t iteration = 0;
-  while (!frontier.empty()) {
-    ++iteration;
-    AGG_CHECK_MSG(iteration <= max_iters, "PageRank failed to converge");
-    const double t_iter = dev.now_us();
-
-    for (const std::uint32_t v : frontier) {
-      snapshot[v] = residual.host_view()[v];
-    }
-    launch_pr(dev, st, variant, frontier, opts.engine.thread_tpb, block_tpb);
-    for (const std::uint32_t v : frontier) {
-      result.metrics.edges_processed += g.degree(v);
-    }
-    std::sort(updated.begin(), updated.end());
-
-    if (variant.repr == WorksetRepr::queue) {
-      ws.charge_queue_len_readback(dev);
-    } else {
-      ws.charge_changed_flag_readback(dev);
-    }
-
-    Variant next = variant;
-    const std::uint32_t interval =
-        opts.engine.monitor_interval ? opts.engine.monitor_interval : 0;
-    if (interval > 0 && iteration % interval == 0) {
-      if (variant.repr == WorksetRepr::bitmap) {
-        ws.charge_bitmap_count_kernel(dev);
-      }
-      sel.iteration = iteration;
-      sel.ws_size = updated.size();
-      ++result.metrics.decisions;
-      next = selector(sel).variant;
-      next.ordering = Ordering::unordered;
-      if (next != variant) ++result.metrics.switches;
-    }
-
-    if (!updated.empty()) {
-      ws.generate(dev, next.repr, updated);
-    }
-
-    record_iteration(result.metrics, "pagerank",
-                     {iteration, frontier.size(), variant,
-                      dev.now_us() - t_iter},
-                     dev.now_us());
-    frontier.swap(updated);
-    updated.clear();
-    variant = next;
-  }
-
-  result.rank.resize(g.num_nodes);
-  dev.memcpy_d2h(std::span<float>(result.rank), rank);
-  // Fold unconverged residual mass in (bounded by n * push_tolerance).
-  for (std::uint32_t v = 0; v < g.num_nodes; ++v) {
-    result.rank[v] += residual.host_view()[v];
-  }
-
-  ws.release(dev);
-  dev.free(rank);
-  dev.free(residual);
-  fill_from_device_delta(result.metrics, stats_before, dev.stats(), t_begin,
-                         dev.now_us());
+  PageRankOp op{dg, opts, result.rank};
+  result.metrics = drive_frontier(dev, dg, g, op, selector, opts.engine);
   return result;
 }
 

@@ -4,9 +4,7 @@
 #include <cmath>
 #include <map>
 
-#include "gpu_graph/device_graph.h"
-#include "gpu_graph/workset.h"
-#include "simt/launch.h"
+#include "gpu_graph/generic_engine.h"
 #include "simt/primitives.h"
 
 namespace gg {
@@ -27,316 +25,81 @@ constexpr simt::Site kTentLoad{11, "sssp.tent-load"};
 constexpr simt::Site kDistStore{12, "sssp.dist-store"};
 constexpr simt::Site kCandFlag{13, "sssp.cand-flag"};
 constexpr simt::Site kCandTail{14, "sssp.cand-tail"};
-constexpr simt::Site kPullRowOffsets{15, "sssp.pull-row-offsets"};
-constexpr simt::Site kPullEdgeLoad{16, "sssp.pull-edge-load"};
-constexpr simt::Site kPullWeightLoad{17, "sssp.pull-weight-load"};
-constexpr simt::Site kPullFrontierTest{18, "sssp.pull-frontier-test"};
 
 // ---------------------------------------------------------------------------
-// Unordered SSSP (Bellman-Ford over the two-kernel framework).
+// Unordered SSSP (Bellman-Ford over the frontier driver).
 // ---------------------------------------------------------------------------
 
-struct UnorderedState {
-  simt::DeviceBuffer<std::uint32_t>* dist;
-  DeviceGraph* graph;
-  Workset* ws;
-  std::vector<std::uint32_t>* updated;
-};
+// Relaxes the node's out-edges through atomic min on the distance array;
+// neighbors whose distance dropped re-enter the working set. SSSP has no
+// gather form: a weighted min-fold cannot stop at the first frontier
+// in-neighbor, and the gather lost to push on every graph measured
+// (DESIGN.md "Direction optimization"), so every direction runs push.
+struct SsspOp {
+  static constexpr const char* kAlgo = "sssp";
+  static constexpr MappedKernels kKernels{GG_KERNEL_NAMES("sssp.compute"),
+                                          kQueueLoad, kBitmapClear};
 
-void relax_element(simt::ThreadCtx& ctx, UnorderedState& st, std::uint32_t id,
-                   std::uint32_t offset, std::uint32_t step) {
-  const std::uint32_t d = ctx.load(*st.dist, id, kNodeDist);
-  const std::uint32_t begin = ctx.load(st.graph->row_offsets, id, kRowOffsets);
-  const std::uint32_t end = ctx.load(st.graph->row_offsets, id + 1, kRowOffsets);
-  ctx.compute(4, kNodeOps);
+  const DeviceGraph& dg;
+  const graph::Csr& g;
+  graph::NodeId source;
+  std::vector<std::uint32_t>& out;
+  simt::DeviceBuffer<std::uint32_t> dist{};
 
-  for (std::uint32_t e = begin + offset; e < end; e += step) {
-    const std::uint32_t t = ctx.load(st.graph->col_indices, e, kEdgeLoad);
-    const std::uint32_t w = ctx.load(st.graph->weights, e, kWeightLoad);
-    ctx.compute(3, kEdgeOps);
-    const std::uint32_t nd = d + w;
-    const std::uint32_t old = ctx.atomic_min(*st.dist, t, nd, kRelax);
-    if (nd < old) {
-      if (ctx.load(st.ws->update(), t, kUpdateLoad) == 0) {
-        ctx.store(st.ws->update(), t, std::uint8_t{1}, kUpdateStore);
-        st.updated->push_back(t);
-      }
-    }
+  std::vector<std::uint32_t> start(simt::Device& dev) {
+    dist = dev.alloc<std::uint32_t>(g.num_nodes, "sssp.dist");
+    dev.fill(dist, graph::kInfinity);
+    dev.write_scalar(dist, source, 0u);
+    return {source};
   }
-}
-
-// All compute variants keep the default LaunchPolicy::serial: relax_element
-// branches on the atomic_min return value and push_backs into the host-side
-// updated list, so the functional result depends on the order blocks run.
-void launch_unordered(simt::Device& dev, UnorderedState& st, Variant v,
-                      std::span<const std::uint32_t> frontier,
-                      std::uint32_t thread_tpb, std::uint32_t block_tpb) {
-  const std::uint32_t n = st.graph->num_nodes;
-  simt::Predicate pred;
-  pred.base_addr = st.ws->bitmap().base_addr();
-  pred.stride = 1;
-  pred.ops = 2;
-
-  if (v.mapping == Mapping::thread) {
-    if (v.repr == WorksetRepr::bitmap) {
-      const auto grid = simt::GridSpec::over_threads(n, thread_tpb, frontier, pred);
-      simt::launch(dev, "sssp.compute.T_BM", grid, [&](simt::ThreadCtx& ctx) {
-        const auto id = static_cast<std::uint32_t>(ctx.global_id());
-        ctx.store(st.ws->bitmap(), id, std::uint8_t{0}, kBitmapClear);
-        relax_element(ctx, st, id, 0, 1);
-      });
-    } else {
-      const auto grid = simt::GridSpec::dense(frontier.size(), thread_tpb);
-      simt::launch(dev, "sssp.compute.T_QU", grid, [&](simt::ThreadCtx& ctx) {
-        const std::uint32_t id =
-            ctx.load(st.ws->queue(), ctx.global_id(), kQueueLoad);
-        relax_element(ctx, st, id, 0, 1);
-      });
-    }
-  } else if (v.mapping == Mapping::warp) {
-    if (v.repr == WorksetRepr::bitmap) {
-      const auto grid =
-          simt::GridSpec::over_blocks(n, simt::kWarpSize, frontier, pred);
-      simt::launch(dev, "sssp.compute.W_BM", grid, [&](simt::ThreadCtx& ctx) {
-        const auto id = static_cast<std::uint32_t>(ctx.block_idx());
-        if (ctx.thread_in_block() == 0) {
-          ctx.store(st.ws->bitmap(), id, std::uint8_t{0}, kBitmapClear);
-        }
-        relax_element(ctx, st, id, ctx.thread_in_block(), simt::kWarpSize);
-      });
-    } else {
-      const auto grid =
-          simt::GridSpec::dense(frontier.size() * simt::kWarpSize, thread_tpb);
-      simt::launch(dev, "sssp.compute.W_QU", grid, [&](simt::ThreadCtx& ctx) {
-        const auto wid = static_cast<std::uint32_t>(ctx.global_id() / simt::kWarpSize);
-        const std::uint32_t id = ctx.load(st.ws->queue(), wid, kQueueLoad);
-        relax_element(ctx, st, id,
-                      static_cast<std::uint32_t>(ctx.global_id() % simt::kWarpSize),
-                      simt::kWarpSize);
-      });
-    }
-  } else {
-    if (v.repr == WorksetRepr::bitmap) {
-      const auto grid = simt::GridSpec::over_blocks(n, block_tpb, frontier, pred);
-      simt::launch(dev, "sssp.compute.B_BM", grid, [&](simt::ThreadCtx& ctx) {
-        const auto id = static_cast<std::uint32_t>(ctx.block_idx());
-        if (ctx.thread_in_block() == 0) {
-          ctx.store(st.ws->bitmap(), id, std::uint8_t{0}, kBitmapClear);
-        }
-        relax_element(ctx, st, id, ctx.thread_in_block(), ctx.block_dim());
-      });
-    } else {
-      const auto grid =
-          simt::GridSpec::dense(frontier.size() * block_tpb, block_tpb);
-      simt::launch(dev, "sssp.compute.B_QU", grid, [&](simt::ThreadCtx& ctx) {
-        const std::uint32_t id =
-            ctx.load(st.ws->queue(), ctx.block_idx(), kQueueLoad);
-        relax_element(ctx, st, id, ctx.thread_in_block(), ctx.block_dim());
-      });
-    }
+  void seed(simt::Device& dev, Frontier& fr, Variant first,
+            Workset::GenMethod) {
+    fr.ws.init_source(dev, source, first.repr);
   }
-}
 
-// Pull (gather) relaxation in the style of the sssp_pull-topological
-// exemplar: a dense thread-per-vertex kernel where each vertex scans its
-// in-edges (CSC), filters frontier members through the bitmap, folds the
-// candidate distances into a register-local minimum, and performs a single
-// own-cell store if it improved — "atomicMin on self": no inter-thread
-// atomics on the scatter side, and the in-edge reads are coalesced gathers.
-// Serial policy: improved ids are push_backed into the host updated shadow.
-void launch_pull_unordered(simt::Device& dev, UnorderedState& st,
-                           std::uint32_t thread_tpb) {
-  const std::uint32_t n = st.graph->num_nodes;
-  const auto grid = simt::GridSpec::dense(n, thread_tpb);
-  simt::launch(dev, "sssp.compute.T_PULL", grid, [&](simt::ThreadCtx& ctx) {
-    const auto id = static_cast<std::uint32_t>(ctx.global_id());
-    const std::uint32_t d = ctx.load(*st.dist, id, kNodeDist);
-    const std::uint32_t begin =
-        ctx.load(st.graph->in_row_offsets, id, kPullRowOffsets);
-    const std::uint32_t end =
-        ctx.load(st.graph->in_row_offsets, id + 1, kPullRowOffsets);
+  void element(simt::ThreadCtx& ctx, Frontier& fr, std::uint32_t id,
+               std::uint32_t offset, std::uint32_t step) {
+    const std::uint32_t d = ctx.load(dist, id, kNodeDist);
+    const std::uint32_t begin = ctx.load(dg.row_offsets, id, kRowOffsets);
+    const std::uint32_t end = ctx.load(dg.row_offsets, id + 1, kRowOffsets);
     ctx.compute(4, kNodeOps);
-    std::uint32_t best = d;
-    for (std::uint32_t e = begin; e < end; ++e) {
-      const std::uint32_t u = ctx.load(st.graph->in_col_indices, e, kPullEdgeLoad);
-      ctx.compute(2, kEdgeOps);
-      if (ctx.load(st.ws->bitmap(), u, kPullFrontierTest) == 0) continue;
-      const std::uint32_t du = ctx.load(*st.dist, u, kNodeDist);
-      const std::uint32_t w = ctx.load(st.graph->in_weights, e, kPullWeightLoad);
-      ctx.compute(2, kEdgeOps);
-      if (du != graph::kInfinity && du + w < best) best = du + w;
+
+    for (std::uint32_t e = begin + offset; e < end; e += step) {
+      const std::uint32_t t = ctx.load(dg.col_indices, e, kEdgeLoad);
+      const std::uint32_t w = ctx.load(dg.weights, e, kWeightLoad);
+      ctx.compute(3, kEdgeOps);
+      const std::uint32_t nd = d + w;
+      const std::uint32_t old = ctx.atomic_min(dist, t, nd, kRelax);
+      if (nd < old) fr.mark(ctx, t, kUpdateLoad, kUpdateStore);
     }
-    if (best < d) {
-      ctx.store(*st.dist, id, best, kDistStore);
-      ctx.store(st.ws->update(), id, std::uint8_t{1}, kUpdateStore);
-      st.updated->push_back(id);
-    }
-  });
-}
-
-GpuSsspResult run_unordered(simt::Device& dev, DeviceGraph& dg,
-                            const graph::Csr& g, graph::NodeId source,
-                            const Selection& first,
-                            const VariantSelector& selector,
-                            const EngineOptions& opts) {
-  const simt::DeviceStats stats_before = dev.stats();
-  const double t_begin = dev.now_us();
-  Variant variant = normalize_direction(first.variant);
-  bool fused = first.fused;
-
-  GpuSsspResult result;
-  const std::uint32_t block_tpb =
-      opts.block_tpb ? opts.block_tpb : derive_block_tpb(dg.avg_outdegree);
-  auto dist = dev.alloc<std::uint32_t>(g.num_nodes, "sssp.dist");
-  dev.fill(dist, graph::kInfinity);
-  dev.write_scalar(dist, source, 0u);
-  Workset ws(dev, g.num_nodes);
-  ws.init_source(dev, source, variant.repr);
-
-  std::vector<std::uint32_t> frontier{source};
-  std::vector<std::uint32_t> updated;
-  UnorderedState st{&dist, &dg, &ws, &updated};
-
-  std::optional<graph::Csr> csc_scratch;
-
-  SelectorInput sel;
-  sel.avg_outdegree = dg.avg_outdegree;
-  sel.outdeg_stddev = dg.outdeg_stddev;
-  sel.num_nodes = g.num_nodes;
-  // Direction controller input: unlike BFS, a weighted min-fold cannot stop
-  // at the first frontier in-neighbor, so a pull iteration always rescans
-  // every in-edge *and* its weight — the gather volume is a flat 2m however
-  // little remains unexplored. Reporting that (instead of BFS's first-touch
-  // remainder) keeps the alpha rule honest: the frontier's scatter mass can
-  // never cover it, so direction-optimizing SSSP correctly stays push.
-  sel.unexplored_edges = 2 * dg.num_edges;
-
-  const std::uint64_t max_iters =
-      opts.max_iterations ? opts.max_iterations : 16ull * g.num_nodes + 64;
-
-  const bool hybrid = opts.hybrid_cpu_threshold > 0;
-  bool on_cpu = hybrid && frontier.size() < opts.hybrid_cpu_threshold;
-  if (on_cpu) {
-    dev.account_transfer(4ull * g.num_nodes, /*to_device=*/false);
   }
 
-  FusedLoop loop(dev, ws, opts.thread_tpb);
-  std::uint32_t iteration = 0;
-  while (!frontier.empty()) {
-    ++iteration;
-    AGG_CHECK_MSG(iteration <= max_iters, "SSSP failed to converge");
-    const double t_iter = dev.now_us();
-    loop.begin(fused && !on_cpu);
-
-    std::uint64_t frontier_edges = 0;
-    for (const std::uint32_t v : frontier) frontier_edges += g.degree(v);
-    result.metrics.edges_processed += frontier_edges;
-
-    if (on_cpu) {
-      // Serial host relaxation of a small frontier (hybrid execution,
-      // cf. Hong et al. [13]).
-      auto dist_view = dist.host_view();
-      auto update_view = ws.update().host_view();
-      for (const std::uint32_t v : frontier) {
-        const std::uint32_t dv = dist_view[v];
-        const auto nbrs = g.neighbors(v);
-        const auto wts = g.edge_weights(v);
-        for (std::size_t i = 0; i < nbrs.size(); ++i) {
-          const std::uint32_t nd = dv + wts[i];
-          if (nd < dist_view[nbrs[i]]) {
-            dist_view[nbrs[i]] = nd;
-            if (update_view[nbrs[i]] == 0) {
-              update_view[nbrs[i]] = 1;
-              updated.push_back(nbrs[i]);
-            }
+  // Hybrid host phase: serial relaxation of a small frontier.
+  void host(Frontier& fr) {
+    auto dist_view = dist.host_view();
+    auto update_view = fr.ws.update().host_view();
+    for (const std::uint32_t v : fr.current) {
+      const std::uint32_t dv = dist_view[v];
+      const auto nbrs = g.neighbors(v);
+      const auto wts = g.edge_weights(v);
+      for (std::size_t i = 0; i < nbrs.size(); ++i) {
+        const std::uint32_t nd = dv + wts[i];
+        if (nd < dist_view[nbrs[i]]) {
+          dist_view[nbrs[i]] = nd;
+          if (update_view[nbrs[i]] == 0) {
+            update_view[nbrs[i]] = 1;
+            fr.next.push_back(nbrs[i]);
           }
         }
       }
-      dev.account_host_compute(host_phase_us(frontier.size(), frontier_edges));
-    } else if (variant.direction == Direction::pull) {
-      ensure_csc_resident(dev, dg, g, opts.csc, /*with_weights=*/true,
-                          csc_scratch);
-      launch_pull_unordered(dev, st, opts.thread_tpb);
-      loop.readback(WorksetRepr::bitmap);
-      ws.clear_frontier_bitmap(dev, frontier);
-    } else {
-      launch_unordered(dev, st, variant, frontier, opts.thread_tpb, block_tpb);
-      loop.readback(variant.repr);
     }
-    std::sort(updated.begin(), updated.end());
-
-    std::uint64_t next_frontier_edges = 0;
-    for (const std::uint32_t v : updated) next_frontier_edges += g.degree(v);
-
-    const bool next_on_cpu =
-        hybrid && updated.size() < opts.hybrid_cpu_threshold;
-    Variant next = variant;
-    bool next_fused = fused;
-    if (opts.monitor_interval > 0 && iteration % opts.monitor_interval == 0) {
-      if (!on_cpu && variant.repr == WorksetRepr::bitmap) {
-        ws.charge_bitmap_count_kernel(dev);
-      }
-      sel.iteration = iteration;
-      sel.ws_size = updated.size();
-      sel.frontier_edges = next_frontier_edges;
-      sel.direction = variant.direction;
-      sel.csc_resident = dg.csc_resident(/*with_weights=*/true);
-      sel.host_phase = next_on_cpu;
-      ++result.metrics.decisions;
-      const Selection chosen = selector(sel);
-      next = normalize_direction(chosen.variant);
-      next.ordering = Ordering::unordered;
-      next_fused = chosen.fused;
-      if (!on_cpu && next != variant) ++result.metrics.switches;
-    }
-
-    // Host phases are scalar scatter loops; direction only applies on device.
-    if (next_on_cpu) next.direction = Direction::push;
-    if (on_cpu != next_on_cpu) {
-      if (next_on_cpu) {
-        dev.account_transfer(4ull * g.num_nodes, /*to_device=*/false);
-      } else {
-        dev.account_transfer(4ull * g.num_nodes, /*to_device=*/true);
-        dev.account_transfer(g.num_nodes, /*to_device=*/true);
-      }
-    }
-
-    if (!updated.empty() && !next_on_cpu) {
-      ws.generate(dev, next.repr, updated,
-                  opts.scan_queue_gen ? Workset::GenMethod::scan
-                                      : Workset::GenMethod::atomic);
-    } else if (!updated.empty()) {
-      for (const std::uint32_t v : updated) ws.update().host_view()[v] = 0;
-    }
-    loop.end(next_fused && !next_on_cpu, !updated.empty(), next.repr);
-
-    record_iteration(result.metrics, "sssp",
-                     {iteration, frontier.size(), variant,
-                      dev.now_us() - t_iter, on_cpu, loop.fused()},
-                     dev.now_us());
-    frontier.swap(updated);
-    updated.clear();
-    variant = next;
-    fused = next_fused;
-    on_cpu = next_on_cpu;
   }
 
-  result.dist.resize(g.num_nodes);
-  if (on_cpu) {
-    // Hybrid run ended in a CPU phase: the state array is already host
-    // resident, so no download is charged.
-    const auto view = dist.host_view();
-    std::copy(view.begin(), view.end(), result.dist.begin());
-  } else {
-    dev.memcpy_d2h(std::span<std::uint32_t>(result.dist), dist);
+  void finish(simt::Device& dev, bool host_resident) {
+    out = download(dev, dist, host_resident);
+    dev.free(dist);
   }
-
-  ws.release(dev);
-  dev.free(dist);
-  fill_from_device_delta(result.metrics, stats_before, dev.stats(), t_begin,
-                         dev.now_us());
-  return result;
-}
+};
 
 // ---------------------------------------------------------------------------
 // Ordered SSSP (Dijkstra-like with GPU parallel-reduction findmin).
@@ -535,16 +298,10 @@ GpuSsspResult run_ordered(simt::Device& dev, DeviceGraph& dg,
 GpuSsspResult run_sssp(simt::Device& dev, const graph::Csr& g, graph::NodeId source,
                        const VariantSelector& selector, const EngineOptions& opts) {
   AGG_CHECK_MSG(g.has_weights(), "SSSP requires edge weights");
-  simt::StreamGuard sguard(dev, opts.stream);
-  const simt::DeviceStats stats_before = dev.stats();
-  const double t_begin = dev.now_us();
-  DeviceGraph dg = DeviceGraph::upload(dev, g, /*with_weights=*/true);
-  GpuSsspResult result = run_sssp(dev, dg, g, source, selector, opts);
-  dg.release(dev);
-  result.metrics.total_us = dev.now_us() - t_begin;
-  result.metrics.transfer_us =
-      dev.stats().transfer_time_us - stats_before.transfer_time_us;
-  return result;
+  return run_uploaded(dev, g, opts.stream, /*with_weights=*/true,
+                      [&](DeviceGraph& dg) {
+                        return run_sssp(dev, dg, g, source, selector, opts);
+                      });
 }
 
 GpuSsspResult run_sssp(simt::Device& dev, DeviceGraph& dg, const graph::Csr& g,
@@ -553,27 +310,21 @@ GpuSsspResult run_sssp(simt::Device& dev, DeviceGraph& dg, const graph::Csr& g,
   AGG_CHECK(source < g.num_nodes);
   AGG_CHECK_MSG(g.has_weights(), "SSSP requires edge weights");
   simt::StreamGuard sguard(dev, opts.stream);
-  SelectorInput sel;
-  sel.ws_size = 1;
-  sel.avg_outdegree = dg.avg_outdegree;
-  sel.outdeg_stddev = dg.outdeg_stddev;
-  sel.num_nodes = g.num_nodes;
-  sel.frontier_edges = g.degree(source);
-  // Flat gather-volume proxy; see run_unordered for why SSSP reports 2m.
-  sel.unexplored_edges = 2 * dg.num_edges;
-  sel.csc_resident = dg.csc_resident(/*with_weights=*/true);
-  sel.host_phase = opts.hybrid_cpu_threshold > 1;  // a one-node frontier
-  const Selection first = selector(sel);
-  Variant initial = first.variant;
-  if (initial.ordering == Ordering::ordered) {
-    AGG_CHECK_MSG(initial.mapping != Mapping::warp,
+  // The first selection fixes the algorithm: ordered (Dijkstra-like) or
+  // unordered (Bellman-Ford on the frontier driver).
+  const Selection first =
+      selector(initial_selector_input(dg, 1, opts, /*host_form=*/true));
+  if (first.variant.ordering == Ordering::ordered) {
+    AGG_CHECK_MSG(first.variant.mapping != Mapping::warp,
                   "warp-centric mapping is an unordered-only extension");
-    // The ordered (Dijkstra-like) formulation has no gather phase; pull is
-    // an unordered-only axis.
+    Variant initial = first.variant;
     initial.direction = Direction::push;
     return run_ordered(dev, dg, g, source, initial, opts);
   }
-  return run_unordered(dev, dg, g, source, first, selector, opts);
+  GpuSsspResult result;
+  SsspOp op{dg, g, source, result.dist};
+  result.metrics = drive_frontier(dev, dg, g, op, selector, opts, first);
+  return result;
 }
 
 }  // namespace gg

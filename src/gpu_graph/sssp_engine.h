@@ -1,7 +1,10 @@
 // GPU SSSP across the implementation space (paper Sec. IV/V, Fig. 5).
 //
-// Unordered (Bellman-Ford-like): the same two-kernel iteration framework as
-// BFS, with relaxations performed through atomic min on the distance array.
+// Unordered (Bellman-Ford-like): an operator on the frontier driver
+// (generic_engine.h), like BFS, with relaxations performed through atomic
+// min on the distance array. There is no gather (pull) kernel: every
+// iteration scatters, and rt::run_sssp resolves any requested direction to
+// push before it builds the selector (DESIGN.md "Direction optimization").
 //
 // Ordered (Dijkstra-like): the working set holds <node, tentative-distance>
 // candidates; every iteration finds the minimum tentative distance by GPU

@@ -122,6 +122,16 @@ Query adaptive_query(const AdaptiveOptions& opts) {
   return q;
 }
 
+// SSSP and CC always scatter: neither min-fold has BFS's first-hit early
+// exit, so their gathers lost on every graph measured (DESIGN.md "Direction
+// optimization"). Resolving the direction before the selector is built
+// keeps the decision log and the iteration records equal to what runs.
+Query push_only(Query q) {
+  q.options.direction = gg::Direction::push;
+  if (q.fixed) q.fixed->direction = gg::Direction::push;
+  return q;
+}
+
 // The layout a query runs in, as handed to the engine call.
 struct Layout {
   gg::DeviceGraph* dg;  // resident graph in this layout; null = one-shot
@@ -193,8 +203,9 @@ gg::GpuBfsResult run_bfs(simt::Device& dev, gg::DeviceGraph* dg,
 
 gg::GpuSsspResult run_sssp(simt::Device& dev, gg::DeviceGraph* dg,
                            const graph::Csr& g, graph::NodeId source,
-                           const Query& q) {
+                           const Query& query) {
   AGG_CHECK(source < g.num_nodes);
+  const Query q = push_only(query);
   return run_in_layout(
       dev, dg, g, q, "sssp", /*with_weights=*/true, [&](const Layout& l) {
         const graph::NodeId s = l.to_layout(source);
@@ -208,13 +219,7 @@ gg::GpuSsspResult run_sssp(simt::Device& dev, gg::DeviceGraph* dg,
 
 gg::GpuCcResult run_cc(simt::Device& dev, gg::DeviceGraph* dg,
                        const graph::Csr& g, const Query& query) {
-  // CC always scatters: a min-label fold has no first-hit early exit, so the
-  // gather lost on every graph measured (DESIGN.md "Direction optimization").
-  // Resolving here, before the selector is built, keeps the decision log and
-  // the iteration records equal to what runs.
-  Query q = query;
-  q.options.direction = gg::Direction::push;
-  if (q.fixed) q.fixed->direction = gg::Direction::push;
+  Query q = push_only(query);
   // A directed input keeps its ids: canonicalize_cc maps symmetric
   // components back, not min-reaching ids.
   const gg::Representation asked =

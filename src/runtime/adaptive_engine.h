@@ -26,16 +26,17 @@ struct AdaptiveOptions {
   Thresholds thresholds;
   bool thresholds_overridden = false;
   std::uint32_t monitor_interval = 1;  // sampling rate R
-  // Traversal direction for the unordered BFS/SSSP engines:
+  // Traversal direction for the unordered BFS engine:
   //  * push     — the paper's scatter formulation (default; unchanged);
   //  * pull     — force the gather (CSC) formulation every iteration;
   //  * adaptive — direction-optimizing: the controller flips push->pull when
   //    frontier_edges > do_alpha * (unexplored_edges + num_nodes) and back
   //    to push when the frontier drains below
   //    do_beta * (unexplored_edges + num_nodes) (Beamer hysteresis over the
-  //    gather volume, see decide_direction; knobs on `thresholds`). CC,
-  //    MST, PageRank and the fused MS-BFS path have no gather kernel and
-  //    always run push; run_cc accepts every direction and runs push.
+  //    gather volume, see decide_direction; knobs on `thresholds`). SSSP,
+  //    CC, MST, PageRank and the fused MS-BFS path have no gather kernel
+  //    and always run push; run_sssp and run_cc accept every direction and
+  //    run push.
   gg::Direction direction = gg::Direction::push;
   // Graph layout for BFS/SSSP/CC (DESIGN.md "Representation adaptivity",
   // the 5th adaptive dimension), chosen once at query start and kept for

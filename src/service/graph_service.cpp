@@ -962,7 +962,8 @@ void GraphService::run_device_query(const PendingQuery& q, GraphEntry& entry,
     case Algo::sssp: {
       gg::GpuSsspResult gr =
           rt::run_sssp(dev, &rep.dg, g.csr(), q.req.source,
-                       adaptive::detail::runtime_query(g, policy));
+                       adaptive::detail::runtime_query(g, policy,
+                                                       /*gathers=*/false));
       adaptive::SsspResult r;
       r.dist = std::move(gr.dist);
       r.metrics = std::move(gr.metrics);

@@ -135,13 +135,14 @@ CacheKey make_cache_key(std::uint64_t graph_key, std::uint64_t version,
       key.param_bits = double_bits(damping);
       break;
     case Algo::cc:
-      // CC runs push under every direction (rt::run_cc), so push, pull and
-      // adaptive direction ask the same question and share one entry.
-      key.policy_sig =
-          policy_signature(policy.with_direction(gg::Direction::push));
-      return key;
+      break;
   }
-  key.policy_sig = policy_signature(policy);
+  // SSSP and CC run push under every direction (rt::run_sssp, rt::run_cc),
+  // so push, pull and adaptive direction ask the same question and share
+  // one entry.
+  const bool push_only = algo == Algo::sssp || algo == Algo::cc;
+  key.policy_sig = policy_signature(
+      push_only ? policy.with_direction(gg::Direction::push) : policy);
   return key;
 }
 

@@ -80,8 +80,8 @@ struct CacheKeyHash {
 // excluded — it is a placement artifact, not part of the question asked.
 std::uint64_t policy_signature(const adaptive::Policy& policy);
 
-// The cache key of one query. CC keys ignore the policy's direction: every
-// direction runs the same push schedule.
+// The cache key of one query. SSSP and CC keys ignore the policy's direction:
+// every direction runs the same push schedule.
 CacheKey make_cache_key(std::uint64_t graph_key, std::uint64_t version,
                         Algo algo, graph::NodeId source, double damping,
                         const adaptive::Policy& policy);

@@ -57,6 +57,27 @@ TEST(Session, BadSourcesAndUnweightedSsspAreTypedErrors) {
   EXPECT_EQ(session.bfs(g, 0).level, cpu::bfs(g.csr(), 0).level);
 }
 
+// MST on an unweighted graph is a typed invalid_argument too, registered or
+// not, and is not mistaken for a dead device.
+TEST(Session, UnweightedMstIsTypedError) {
+  adaptive::Session session;
+  const auto g = make_graph(200, 600);
+  const auto unregistered = make_graph(200, 600);
+  session.register_graph(g);
+  for (const adaptive::Graph* graph : {&g, &unregistered}) {
+    for (const auto& policy :
+         {adaptive::Policy::adapt(), adaptive::Policy::cpu()}) {
+      const auto m = session.mst(*graph, policy);
+      EXPECT_FALSE(m.ok());
+      EXPECT_EQ(m.code, adaptive::ErrorCode::invalid_argument) << m.error;
+      EXPECT_FALSE(m.degraded);
+    }
+  }
+  auto weighted = make_graph(200, 600);
+  weighted.set_uniform_weights(1, 9);
+  EXPECT_TRUE(session.mst(weighted).ok());
+}
+
 TEST(Session, RegisteredGraphSkipsPerQueryUpload) {
   adaptive::Session resident;
   adaptive::Session fresh;

@@ -108,6 +108,18 @@ TEST(Algorithms, SsspWithoutWeightsIsTypedError) {
   EXPECT_NE(out.error.find("weights"), std::string::npos) << out.error;
 }
 
+TEST(Algorithms, MstWithoutWeightsIsTypedError) {
+  const auto g = small_graph();
+  for (const auto& policy : {adaptive::Policy::adapt(), adaptive::Policy::cpu(),
+                             adaptive::Policy::fixed(gg::parse_variant("U_T_BM"))}) {
+    simt::Device dev;
+    const auto out = adaptive::mst(dev, g, policy);
+    EXPECT_FALSE(out.ok());
+    EXPECT_EQ(out.code, adaptive::ErrorCode::invalid_argument);
+    EXPECT_EQ(out.error, "mst requires edge weights");
+  }
+}
+
 TEST(Algorithms, FixedPolicyParsesAllNames) {
   for (const auto v : gg::all_variants()) {
     const auto p = Policy::fixed(gg::variant_name(v));

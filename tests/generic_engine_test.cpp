@@ -2,11 +2,17 @@
 // given their operators, across variants, with correct push deduplication.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "cpu/bfs_serial.h"
+#include "cpu/pagerank_serial.h"
 #include "gpu_graph/bfs_engine.h"
+#include "gpu_graph/bfs_multi_engine.h"
 #include "gpu_graph/generic_engine.h"
+#include "gpu_graph/pagerank_engine.h"
 #include "graph/gen/generators.h"
 #include "runtime/adaptive_engine.h"
+#include "simt/profiler.h"
 
 namespace {
 
@@ -144,6 +150,47 @@ TEST(GenericEngine, MatchesBuiltinBfsCostShape) {
   const double ratio = generic.metrics.kernel_us / builtin.metrics.kernel_us;
   EXPECT_GT(ratio, 0.7);
   EXPECT_LT(ratio, 1.4);
+}
+
+// EngineOptions::scan_queue_gen is honoured by every algorithm on the
+// driver, seeding included: PageRank and MS-BFS generate their queues by
+// scan and still answer as their oracles do.
+TEST(GenericEngine, ScanQueueGenAppliesToEveryDriverAlgorithm) {
+  const auto g = graph::gen::erdos_renyi(2000, 10000, 76);
+  const gg::Variant queue = gg::parse_variant("U_T_QU");
+  auto launched_scan = [](const simt::Profiler& prof) {
+    return prof.entries().count("workset_gen.queue_scan") == 1;
+  };
+
+  gg::PageRankOptions pr;
+  pr.engine.scan_queue_gen = true;
+  simt::Device pdev;
+  simt::Profiler pprof(pdev);
+  const auto rank = gg::run_pagerank(pdev, g, queue, pr);
+  EXPECT_TRUE(launched_scan(pprof));
+  const auto want = cpu::pagerank(g);
+  double diff = 0, norm = 0;
+  for (std::size_t v = 0; v < want.rank.size(); ++v) {
+    diff += std::abs(static_cast<double>(rank.rank[v]) - want.rank[v]);
+    norm += std::abs(want.rank[v]);
+  }
+  EXPECT_LT(diff / norm, 2e-3);
+
+  gg::EngineOptions opts;
+  opts.scan_queue_gen = true;
+  const std::vector<graph::NodeId> sources{0, 17, 401, 1999};
+  simt::Device mdev;
+  simt::Profiler mprof(mdev);
+  const auto multi =
+      gg::run_bfs_multi(mdev, g, sources, gg::fixed_variant(queue), opts);
+  EXPECT_TRUE(launched_scan(mprof));
+  for (std::size_t s = 0; s < sources.size(); ++s) {
+    const auto want_levels = cpu::bfs(g, sources[s]).level;
+    for (std::uint32_t v = 0; v < g.num_nodes; ++v) {
+      ASSERT_EQ(multi.levels_for(v)[s], want_levels[v])
+          << "source " << sources[s] << " node " << v;
+    }
+  }
 }
 
 }  // namespace

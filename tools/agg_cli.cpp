@@ -736,7 +736,7 @@ int main(int argc, char** argv) {
         "               [--direction=push|pull|adaptive]\n"
         "               [--representation=plain|relabelled|adaptive]\n"
         "  agg sssp     <graph> [--source=N] [--policy=...] [--weights=LO,HI]\n"
-        "               [--direction=push|pull|adaptive]\n"
+        "               [--direction=push|pull|adaptive] (always runs push)\n"
         "               [--representation=plain|relabelled|adaptive]\n"
         "  agg cc       <graph> [--policy=...] [--no-symmetrize]\n"
         "               [--direction=push|pull|adaptive] (always runs push)\n"
@@ -776,11 +776,12 @@ int main(int argc, char** argv) {
         "  --trace-format=F      chrome (kernel/transfer/iteration timeline,\n"
         "                        default) | jsonl (adaptive decision log)\n"
         "  --metrics-out=FILE    write the metrics-counter registry as JSON\n"
-        "  --direction=D         traversal direction for bfs/sssp: push\n"
+        "  --direction=D         traversal direction for bfs: push\n"
         "                        (scatter over CSR, default), pull (gather\n"
         "                        over CSC), adaptive (Beamer push<->pull\n"
         "                        controller; pairs with --policy=adaptive);\n"
-        "                        cc accepts all three and always runs push\n"
+        "                        sssp and cc accept all three and always\n"
+        "                        run push\n"
         "  --do-alpha=F          push->pull flip threshold: go pull when\n"
         "                        frontier_edges > F * (unexplored_edges + n)\n"
         "                        (default 0.5)\n"
